@@ -345,8 +345,8 @@ let rtl_frame_sim () =
 
 let gate_netlist = lazy (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
 
-let gate_frame_sim () =
-  let sim = Backend.Nl_sim.create (Lazy.force gate_netlist) in
+(* One 256-pixel frame on a gate-level simulator; returns its cycles. *)
+let gate_frame sim =
   let frame = Array.init 256 (fun i -> i * 53 mod 256) in
   Backend.Nl_sim.set_input_int sim "ext_reset" 0;
   Backend.Nl_sim.set_input_int sim "target_bin" 7;
@@ -371,6 +371,9 @@ let gate_frame_sim () =
     incr guard
   done;
   Backend.Nl_sim.cycles sim
+
+let gate_frame_sim () =
+  gate_frame (Backend.Nl_sim.create (Lazy.force gate_netlist))
 
 let behavioural_frame_sim () =
   let r = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:256 () in
@@ -647,44 +650,26 @@ let formal () =
 
 let power () =
   section "power"
-    "Activity-based power per frame (model units; extension beyond the \
-     paper's area/frequency metrics)";
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
+    "Dynamic power per frame from sampled switching activity (model \
+     units; extension beyond the paper's area/frequency metrics)";
   let run design =
     let nl = Backend.Opt.optimize (Backend.Lower.lower design) in
     let sim = Backend.Nl_sim.create nl in
-    Backend.Nl_sim.set_input_int sim "ext_reset" 0;
-    Backend.Nl_sim.set_input_int sim "target_bin" 7;
-    Backend.Nl_sim.set_input_int sim "sda_in" 0;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-    Backend.Nl_sim.set_input_int sim "line_valid" 0;
-    Backend.Nl_sim.set_input_int sim "pixel" 0;
-    Backend.Nl_sim.run sim 15;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 1;
-    Backend.Nl_sim.run sim 4;
-    Backend.Nl_sim.set_input_int sim "line_valid" 1;
-    Array.iter
-      (fun px ->
-        Backend.Nl_sim.set_input_int sim "pixel" px;
-        Backend.Nl_sim.step sim)
-      frame;
-    Backend.Nl_sim.set_input_int sim "line_valid" 0;
-    Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-    let guard = ref 0 in
-    while
-      Backend.Nl_sim.get_output_int sim "frame_done" = 0 && !guard < 4000
-    do
-      Backend.Nl_sim.step sim;
-      incr guard
-    done;
-    Backend.Power.estimate nl sim
+    Backend.Nl_sim.enable_power_sampler sim;
+    ignore (gate_frame sim);
+    Synth.Power_dyn.analyze nl (Option.get (Backend.Nl_sim.power_activity sim))
   in
   let p_osss = run (Expocu.Expocu_top.osss_top ()) in
   let p_vhdl = run (Expocu.Expocu_top.rtl_top ()) in
-  row "  %-6s %s\n" "OSSS" (Format.asprintf "%a" Backend.Power.pp_report p_osss);
-  row "  %-6s %s\n" "VHDL" (Format.asprintf "%a" Backend.Power.pp_report p_vhdl);
+  let pp (p : Synth.Power_dyn.report) =
+    Printf.sprintf
+      "%.3f mW avg (%.3f leakage), %.3f mW peak, %.1f pJ over %d cycles"
+      p.p_avg_mw p.p_leakage_mw p.p_peak_mw p.p_total_energy_pj p.p_cycles
+  in
+  row "  %-6s %s\n" "OSSS" (pp p_osss);
+  row "  %-6s %s\n" "VHDL" (pp p_vhdl);
   row "  power ratio OSSS/VHDL = %.3f\n"
-    (p_osss.Backend.Power.total_mw /. p_vhdl.Backend.Power.total_mw)
+    (p_osss.Synth.Power_dyn.p_avg_mw /. p_vhdl.Synth.Power_dyn.p_avg_mw)
 
 (* ------------------------------------------------------------------ *)
 (* Layout: technology mapping and place & route                        *)
@@ -814,10 +799,10 @@ let rtl_frame ~pixels () =
    scalar frame ((i*53) mod 256) and lane l offsets it by l*17, so one
    run is [lanes] stimulus seeds. *)
 let wsim_frame ?(cover = false) ~mode ~lanes ~pixels () =
-  let w = Backend.Nl_wsim.create ~mode ~lanes (Lazy.force gate_netlist) in
-  if cover then Backend.Nl_wsim.enable_toggle_cover w;
-  let set = Backend.Nl_wsim.set_input_int w in
-  let step () = Backend.Nl_wsim.step w in
+  let w = Backend.Nl_sim.create ~mode ~lanes (Lazy.force gate_netlist) in
+  if cover then Backend.Nl_sim.enable_toggle_cover w;
+  let set = Backend.Nl_sim.set_input_int w in
+  let step () = Backend.Nl_sim.step w in
   set "ext_reset" 0;
   set "target_bin" 7;
   set "sda_in" 0;
@@ -829,7 +814,7 @@ let wsim_frame ?(cover = false) ~mode ~lanes ~pixels () =
   for _ = 1 to 4 do step () done;
   set "line_valid" 1;
   for i = 0 to pixels - 1 do
-    Backend.Nl_wsim.set_input_packed w "pixel"
+    Backend.Nl_sim.set_input_packed w "pixel"
       (Array.init 8 (fun b ->
            Bitvec.init lanes (fun l ->
                (((i * 53) + (l * 17)) mod 256) lsr b land 1 = 1)));
@@ -838,7 +823,7 @@ let wsim_frame ?(cover = false) ~mode ~lanes ~pixels () =
   set "line_valid" 0;
   set "frame_sync" 0;
   let guard = ref 0 in
-  while Backend.Nl_wsim.get_output_int w "frame_done" = 0 && !guard < 4000 do
+  while Backend.Nl_sim.get_output_int w "frame_done" = 0 && !guard < 4000 do
     step ();
     incr guard
   done;
@@ -879,7 +864,7 @@ let measure_perf_gate () =
   in
   let w, w_s =
     timed_best 3 (fun () ->
-        wsim_frame ~mode:Backend.Nl_wsim.Full_eval ~lanes:perf_gate_lanes
+        wsim_frame ~mode:Backend.Nl_sim.Full_eval ~lanes:perf_gate_lanes
           ~pixels ())
   in
   let per_cycle evals cycles = float_of_int evals /. float_of_int cycles in
@@ -888,7 +873,7 @@ let measure_perf_gate () =
     /. per_cycle (Backend.Nl_sim.gate_evals fl) (Backend.Nl_sim.cycles fl)
   in
   let scalar_pps = cps (Backend.Nl_sim.cycles fl) fl_s in
-  let word_pps = cps (Backend.Nl_wsim.cycles w * perf_gate_lanes) w_s in
+  let word_pps = cps (Backend.Nl_sim.cycles w * perf_gate_lanes) w_s in
   let speedup = if scalar_pps > 0.0 then word_pps /. scalar_pps else 0.0 in
   let detail =
     let open Obs.Json in
@@ -1260,11 +1245,11 @@ let bench_json ~profile ~lanes () =
     let open Obs.Json in
     let wmode mode =
       let w, s = timed (fun () -> wsim_frame ~mode ~lanes ~pixels ()) in
-      let cycles = Backend.Nl_wsim.cycles w in
+      let cycles = Backend.Nl_sim.cycles w in
       Obj
         [
           ("cycles", Int cycles);
-          ("gate_evals", Int (Backend.Nl_wsim.gate_evals w));
+          ("gate_evals", Int (Backend.Nl_sim.gate_evals w));
           ("cycles_per_sec", Float (cps cycles s));
           ("patterns_per_sec", Float (cps (cycles * lanes) s));
         ]
@@ -1272,8 +1257,8 @@ let bench_json ~profile ~lanes () =
     Obj
       [
         ("lanes", Int lanes);
-        ("event_driven", wmode Backend.Nl_wsim.Event_driven);
-        ("full_eval", wmode Backend.Nl_wsim.Full_eval);
+        ("event_driven", wmode Backend.Nl_sim.Event_driven);
+        ("full_eval", wmode Backend.Nl_sim.Full_eval);
       ]
   in
   let _, _, perf_gate_detail = measure_perf_gate () in
@@ -1317,7 +1302,7 @@ let bench_json ~profile ~lanes () =
         ( "word_parallel",
           Obj
             [
-              ("lane_bits", Int Backend.Nl_wsim.lane_bits);
+              ("lane_bits", Int Backend.Nl_sim.lane_bits);
               ("sweep", List (List.map sweep_entry lane_sweep));
             ] );
         ("perf_gate", perf_gate_detail);
@@ -1387,7 +1372,7 @@ let bench_smoke ~profile () =
       (* Word-parallel engine under broadcast stimulus: Engine.get reads
          lane 0, so the lockstep compares the golden lane against every
          scalar level each cycle. *)
-      (fun () -> Backend.Nl_engine.create_word ~label:"gates:word" ~lanes:8 nl);
+      (fun () -> Backend.Nl_engine.create ~label:"gates:word" ~lanes:8 nl);
     ]
   in
   (match Backend.Equiv.differential ~cycles:200 factories with
@@ -1424,14 +1409,14 @@ let bench_smoke ~profile () =
      scalar simulator on the frame workload in both scheduling modes:
      same cycle count, same per-net toggle counts. *)
   let lanes = 64 in
-  let wev = wsim_frame ~mode:Backend.Nl_wsim.Event_driven ~lanes ~pixels () in
-  let wfl = wsim_frame ~mode:Backend.Nl_wsim.Full_eval ~lanes ~pixels () in
+  let wev = wsim_frame ~mode:Backend.Nl_sim.Event_driven ~lanes ~pixels () in
+  let wfl = wsim_frame ~mode:Backend.Nl_sim.Full_eval ~lanes ~pixels () in
   List.iter
     (fun (who, w) ->
-      if Backend.Nl_wsim.cycles w <> Backend.Nl_sim.cycles ev then
+      if Backend.Nl_sim.cycles w <> Backend.Nl_sim.cycles ev then
         failwith (Printf.sprintf "bench-smoke: %s cycle count diverged" who);
       for n = 0 to Backend.Netlist.net_count nl - 1 do
-        if Backend.Nl_sim.net_toggles ev n <> Backend.Nl_wsim.net_toggles w n
+        if Backend.Nl_sim.net_toggles ev n <> Backend.Nl_sim.net_toggles w n
         then
           failwith
             (Printf.sprintf "bench-smoke: %s lane-0 toggle mismatch on net %d"
@@ -1463,11 +1448,11 @@ let bench_smoke ~profile () =
      streams yields one toggle collector per seed; the union must cover
      at least as much as any single seed. *)
   let wc =
-    wsim_frame ~cover:true ~mode:Backend.Nl_wsim.Event_driven ~lanes:4 ~pixels
+    wsim_frame ~cover:true ~mode:Backend.Nl_sim.Event_driven ~lanes:4 ~pixels
       ()
   in
   let lane_cov l =
-    match Backend.Nl_wsim.lane_cover wc l with
+    match Backend.Nl_sim.lane_cover wc l with
     | Some c -> c
     | None -> failwith "bench-smoke: lane collector missing"
   in
@@ -1529,8 +1514,8 @@ let bench_smoke ~profile () =
             ("rtl_process_runs", Int (Rtl_sim.comb_runs rtl));
             ("rtl_process_skips", Int (Rtl_sim.comb_skips rtl));
             ("word_lanes", Int lanes);
-            ("word_gate_evals_event", Int (Backend.Nl_wsim.gate_evals wev));
-            ("word_gate_evals_full", Int (Backend.Nl_wsim.gate_evals wfl));
+            ("word_gate_evals_event", Int (Backend.Nl_sim.gate_evals wev));
+            ("word_gate_evals_full", Int (Backend.Nl_sim.gate_evals wfl));
             ( "campaign_detected_at",
               match campaign.Backend.Equiv.fault_results with
               | [ { Backend.Equiv.detected_at = Some c; _ } ] -> Int c
@@ -2294,18 +2279,18 @@ let () =
     end
   end
   else begin
+    let find id = List.assoc_opt (String.lowercase_ascii id) experiments in
+    (match List.filter (fun id -> find id = None) (List.rev o.ids) with
+    | [] -> ()
+    | unknown ->
+        List.iter (Obs.Log.errorf "unknown experiment %s") unknown;
+        Printf.eprintf "valid experiments: %s\n"
+          (String.concat " " (List.map fst experiments));
+        exit 2);
     let selected =
       match List.rev o.ids with
       | [] -> experiments
-      | ids ->
-          List.filter_map
-            (fun id ->
-              match List.assoc_opt (String.lowercase_ascii id) experiments with
-              | Some f -> Some (id, f)
-              | None ->
-                  Obs.Log.errorf "unknown experiment %s" id;
-                  None)
-            ids
+      | ids -> List.map (fun id -> (id, Option.get (find id))) ids
     in
     Printf.printf
       "OSSS evaluation reproduction — experiments from Bannow & Haug, DATE \

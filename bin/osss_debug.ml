@@ -36,7 +36,7 @@ let make_engine design engine_kind lanes fault =
             (Backend.Nl_engine.create ~label:("gates:" ^ design) nl, Some nl)
         | "word" ->
             let nl = Backend.Opt.optimize (Backend.Lower.lower m) in
-            ( Backend.Nl_engine.create_word ~label:("word:" ^ design) ~lanes nl,
+            ( Backend.Nl_engine.create ~label:("word:" ^ design) ~lanes nl,
               Some nl )
         | other ->
             Printf.eprintf "unknown engine %s (rtl|netlist|word)\n" other;

@@ -283,7 +283,7 @@ let pp_fault_result fmt r =
   | _ -> Format.fprintf fmt "undetected"
 
 (* One campaign shard: the full word-parallel detect-then-shrink body
-   over its slice of the fault list, on its own [Nl_wsim] instance.
+   over its slice of the fault list, on its own [Nl_sim] instance.
    Runs on a pool domain when the campaign is sharded; lanes in the
    returned results are shard-local (the merge re-indexes them).  The
    stimulus is broadcast — identical for every lane and every shard —
@@ -293,10 +293,10 @@ let pp_fault_result fmt r =
 let campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl faults =
   let nfaults = List.length faults in
   let lanes = nfaults + 1 in
-  let wsim = Nl_wsim.create ~mode ~lanes nl in
+  let sim = Nl_sim.create ~mode ~lanes nl in
   List.iteri
     (fun i f ->
-      Nl_wsim.inject_stuck_at wsim ~lane:(i + 1) ~net:f.fault_net
+      Nl_sim.inject_stuck_at sim ~lane:(i + 1) ~net:f.fault_net
         ~value:f.stuck_at)
     faults;
   let ins =
@@ -314,9 +314,9 @@ let campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl faults =
     Perf.incr ctr_rounds;
     List.iter
       (fun (name, width) ->
-        Nl_wsim.set_input wsim name (drive !n (name, random_bv rng width)))
+        Nl_sim.set_input sim name (drive !n (name, random_bv rng width)))
       ins;
-    Nl_wsim.step wsim;
+    Nl_sim.step sim;
     List.iter
       (fun port ->
         if !remaining > 0 then
@@ -326,20 +326,20 @@ let campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl faults =
                 detected.(lane) <- Some (!n, port);
                 decr remaining
               end)
-            (Nl_wsim.diverging_lanes wsim port))
+            (Nl_sim.diverging_lanes sim port))
       outs;
     incr n
   done;
   (* Hand a detected fault to the scalar differential harness: golden
-     scalar engine vs a single-lane word simulator carrying just this
+     scalar engine vs a single-lane simulator carrying just this
      fault, replayed under the same seed — shrink and replay machinery
      then produce the minimal reproducer window. *)
   let shrink_one f cyc =
     let gold () = Nl_engine.create ~label:("gold:" ^ Netlist.name nl) nl in
     let faulty () =
-      let w = Nl_wsim.create ~mode ~lanes:1 nl in
-      Nl_wsim.inject_stuck_at w ~lane:0 ~net:f.fault_net ~value:f.stuck_at;
-      Nl_engine.pack_word
+      let w = Nl_sim.create ~mode nl in
+      Nl_sim.inject_stuck_at w ~lane:0 ~net:f.fault_net ~value:f.stuck_at;
+      Nl_engine.of_sim
         ~label:
           (Printf.sprintf "fault:n%d=%d" f.fault_net (Bool.to_int f.stuck_at))
         w
@@ -379,12 +379,12 @@ let campaign_shard ~cycles ~seed ~drive ~mode ~shrink nl faults =
     faults_total = nfaults;
     faults_detected;
     campaign_cycles = !n;
-    campaign_gate_evals = Nl_wsim.gate_evals wsim;
+    campaign_gate_evals = Nl_sim.gate_evals sim;
     fault_results;
   }
 
 let fault_campaign ?(cycles = 500) ?(seed = 42) ?(drive = fun _ (_, r) -> r)
-    ?(mode = Nl_wsim.Event_driven) ?(shrink = true) ?jobs nl faults =
+    ?(mode = Nl_sim.Event_driven) ?(shrink = true) ?jobs nl faults =
   Perf.incr ctr_campaigns;
   let jobs = max 1 (match jobs with Some j -> j | None -> Par.default_jobs ()) in
   let nfaults = List.length faults in

@@ -77,14 +77,14 @@ val differential :
 
 (** {1 Lane-parallel fault campaign}
 
-    Stuck-at fault simulation on the word-parallel backend
-    ({!Nl_wsim}): one simulation carries the fault-free golden design in
+    Stuck-at fault simulation on the packed lanes of one {!Nl_sim}:
+    one simulation carries the fault-free golden design in
     lane 0 and one faulty machine per extra lane, so every gate
     evaluation advances the golden run {e and} every fault candidate at
     once.  Detection is a packed xor against lane 0 per output port per
-    cycle ({!Nl_wsim.diverging_lanes}); a detected fault is then handed
+    cycle ({!Nl_sim.diverging_lanes}); a detected fault is then handed
     to the scalar {!differential} harness (golden scalar engine vs a
-    single-lane faulty word engine, same seed) for the usual
+    single-lane faulty engine, same seed) for the usual
     shrink-and-replay minimal reproducer. *)
 
 type lane_fault = { fault_net : Netlist.net; stuck_at : bool }
@@ -123,7 +123,7 @@ val fault_campaign :
   ?cycles:int ->
   ?seed:int ->
   ?drive:(int -> string * Bitvec.t -> Bitvec.t) ->
-  ?mode:Nl_wsim.mode ->
+  ?mode:Nl_sim.mode ->
   ?shrink:bool ->
   ?jobs:int ->
   Netlist.t ->
@@ -140,7 +140,7 @@ val fault_campaign :
 
     [jobs] (default [Par.default_jobs ()]) splits the fault list into
     up to [jobs] contiguous shards, each simulated on its own domain
-    with its own [Nl_wsim] instance, and merges the shard results in
+    with its own [Nl_sim] instance, and merges the shard results in
     fault order.  The stimulus is broadcast and faults are
     lane-isolated, so the merged [fault_results] — detection cycle,
     port, site, shrunk reproducer — are {e identical for every [jobs]}

@@ -2,8 +2,7 @@ type state = {
   sim : Nl_sim.t;
   nl_inputs : (string * int) list;
   nl_outputs : (string * int) list;
-  driven : (string, Bitvec.t) Hashtbl.t;  (* last value per input port *)
-  sim_kind : string;
+  driven : (string, Bitvec.t) Hashtbl.t;  (* last broadcast per input port *)
   mutable probe_tbl : (string, Netlist.net) Hashtbl.t option;
       (* probe name -> net, built on first probe read *)
 }
@@ -20,28 +19,25 @@ let make_impl sim_kind =
       Nl_sim.set_input t.sim name bv;
       Hashtbl.replace t.driven name bv
 
-    let get t name =
+    let get_lane t ~lane name =
       match List.assoc_opt name t.nl_outputs with
-      | Some _ -> Nl_sim.get_output t.sim name
+      | Some _ -> Nl_sim.get_output ~lane t.sim name
       | None -> (
+          (* Inputs echo the last broadcast value; per-lane input
+             history is not retained. *)
+          if lane < 0 || lane >= Nl_sim.lanes t.sim then
+            invalid_arg (Printf.sprintf "Nl_engine.get_lane: lane %d" lane);
           match Hashtbl.find_opt t.driven name with
           | Some bv -> bv
           | None -> Bitvec.zero (List.assoc name t.nl_inputs))
 
+    let get t name = get_lane t ~lane:0 name
     let settle t = Nl_sim.settle t.sim
     let step t = Nl_sim.step t.sim
     let cycles t = Nl_sim.cycles t.sim
-    let lanes _ = 1
-
+    let lanes t = Nl_sim.lanes t.sim
     let set_input_lane t ~lane name bv =
-      if lane <> 0 then
-        invalid_arg "Nl_engine: scalar backend has a single lane";
-      set_input t name bv
-
-    let get_lane t ~lane name =
-      if lane <> 0 then
-        invalid_arg "Nl_engine: scalar backend has a single lane";
-      get t name
+      Nl_sim.set_input_lane t.sim ~lane name bv
 
     let stats t =
       [
@@ -84,111 +80,24 @@ let make_impl sim_kind =
   end : Engine.S
     with type t = state)
 
-(* ------------------------------------------------------------------ *)
-(* Word-parallel backend: an Nl_wsim behind the same Engine face.      *)
+let event_impl = make_impl "netlist-event"
+let full_impl = make_impl "netlist-full"
 
-type wstate = {
-  wsim : Nl_wsim.t;
-  w_inputs : (string * int) list;
-  w_outputs : (string * int) list;
-  wdriven : (string, Bitvec.t) Hashtbl.t;  (* broadcast echo per input *)
-}
-
-module Wimpl = struct
-  type t = wstate
-
-  let kind = "netlist-word"
-  let inputs t = t.w_inputs
-  let outputs t = t.w_outputs
-
-  let set_input t name bv =
-    Nl_wsim.set_input t.wsim name bv;
-    Hashtbl.replace t.wdriven name bv
-
-  let get t name =
-    match List.assoc_opt name t.w_outputs with
-    | Some _ -> Nl_wsim.get_output t.wsim name
-    | None -> (
-        match Hashtbl.find_opt t.wdriven name with
-        | Some bv -> bv
-        | None -> Bitvec.zero (List.assoc name t.w_inputs))
-
-  let settle t = Nl_wsim.settle t.wsim
-  let step t = Nl_wsim.step t.wsim
-  let cycles t = Nl_wsim.cycles t.wsim
-  let lanes t = Nl_wsim.lanes t.wsim
-
-  let set_input_lane t ~lane name bv =
-    Nl_wsim.set_input_lane t.wsim ~lane name bv
-
-  let get_lane t ~lane name =
-    match List.assoc_opt name t.w_outputs with
-    | Some _ -> Nl_wsim.get_output ~lane t.wsim name
-    | None ->
-        (* Inputs echo the last broadcast value; per-lane input history
-           is not retained. *)
-        if lane < 0 || lane >= Nl_wsim.lanes t.wsim then
-          invalid_arg (Printf.sprintf "Nl_engine.get_lane: lane %d" lane);
-        get t name
-
-  let stats t =
-    [
-      ("gate_evals", Nl_wsim.gate_evals t.wsim);
-      ("cells_skipped", Nl_wsim.cells_skipped t.wsim);
-      ("comb_cells", Nl_wsim.comb_cells t.wsim);
-      ("dff_cells", Nl_wsim.dff_cells t.wsim);
-      ("full_settles", Nl_wsim.full_settles t.wsim);
-      ("toggles", Nl_wsim.toggle_total t.wsim);
-      ("lanes", Nl_wsim.lanes t.wsim);
-      ("faults", Nl_wsim.faults t.wsim);
-    ]
-
-  let probes _ = []
-  let probe _ _ = raise Not_found
-  let enable_cover t = Nl_wsim.enable_toggle_cover t.wsim
-  let cover t = Nl_wsim.lane_cover t.wsim 0
-
-  (* Lane 0 is the canonical stimulus lane, matching [cover]. *)
-  let enable_power_sampler t = Nl_wsim.enable_power_sampler t.wsim
-  let power_activity t = Nl_wsim.lane_activity t.wsim 0
-  let enable_events t = Nl_wsim.enable_events t.wsim
-  let events _ = Obs.Event.events ()
-
-  let checkpoint t =
-    let ck = Nl_wsim.checkpoint t.wsim in
-    Some (fun () -> Nl_wsim.restore t.wsim ck)
-end
-
-let pack_word ?label wsim =
-  let nl = Nl_wsim.netlist wsim in
+let of_sim ?label sim =
+  let nl = Nl_sim.netlist sim in
   let widths ports = List.map (fun (n, nets) -> (n, Array.length nets)) ports in
   Engine.pack ?label
-    (module Wimpl)
+    (match Nl_sim.mode sim with
+    | Nl_sim.Event_driven -> event_impl
+    | Nl_sim.Full_eval -> full_impl)
     {
-      wsim;
-      w_inputs = widths (Netlist.inputs nl);
-      w_outputs = widths (Netlist.outputs nl);
-      wdriven = Hashtbl.create 8;
-    }
-
-let create_word ?label ?(mode = Nl_wsim.Event_driven) ~lanes nl =
-  pack_word ?label (Nl_wsim.create ~mode ~lanes nl)
-
-let create ?label ?(mode = Nl_sim.Event_driven) nl =
-  let sim_kind =
-    match mode with
-    | Nl_sim.Event_driven -> "netlist-event"
-    | Nl_sim.Full_eval -> "netlist-full"
-  in
-  let widths ports = List.map (fun (n, nets) -> (n, Array.length nets)) ports in
-  let state =
-    {
-      sim = Nl_sim.create ~mode nl;
+      sim;
       nl_inputs = widths (Netlist.inputs nl);
       nl_outputs = widths (Netlist.outputs nl);
       driven = Hashtbl.create 8;
-      sim_kind;
       probe_tbl = None;
     }
-  in
-  Engine.pack ?label (make_impl sim_kind) state
+
+let create ?label ?mode ?lanes nl =
+  of_sim ?label (Nl_sim.create ?mode ?lanes nl)
+let create_word ?label ?mode ~lanes nl = create ?label ?mode ~lanes nl

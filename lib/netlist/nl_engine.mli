@@ -2,22 +2,23 @@
     ({!Nl_sim}).
 
     [kind] is ["netlist-event"] or ["netlist-full"] depending on the
-    scheduling mode; input ports echo their last driven value (zero
+    scheduling mode.  Input ports echo their last broadcast value (zero
     before the first drive) so the consolidated trace can record
-    stimulus alongside outputs. *)
+    stimulus alongside outputs.  [Engine.lanes] reports the lane count,
+    [Engine.set_input_lane] / [Engine.get_lane] address individual
+    lanes, plain [Engine.set_input] broadcasts to every lane and
+    [Engine.get], [Engine.probe], [Engine.cover] and
+    [Engine.power_activity] read lane 0 — so in a lockstep differential
+    the golden lane is what gets compared. *)
 
-val create : ?label:string -> ?mode:Nl_sim.mode -> Netlist.t -> Engine.t
+val create :
+  ?label:string -> ?mode:Nl_sim.mode -> ?lanes:int -> Netlist.t -> Engine.t
+(** [lanes] defaults to 1. *)
 
 val create_word :
-  ?label:string -> ?mode:Nl_wsim.mode -> lanes:int -> Netlist.t -> Engine.t
-(** Word-parallel backend ({!Nl_wsim}), [kind] ["netlist-word"]:
-    [Engine.lanes] reports the lane count, [Engine.set_input_lane] /
-    [Engine.get_lane] address individual lanes, plain
-    [Engine.set_input] broadcasts to every lane and [Engine.get] reads
-    lane 0 — so in a lockstep differential against a scalar engine the
-    golden lane is what gets compared.  [Engine.enable_cover] /
-    [Engine.cover] expose lane 0's toggle collector. *)
+  ?label:string -> ?mode:Nl_sim.mode -> lanes:int -> Netlist.t -> Engine.t
+(** [create] with a mandatory lane count. *)
 
-val pack_word : ?label:string -> Nl_wsim.t -> Engine.t
-(** Wrap an existing word-parallel simulator (e.g. one that already has
-    faults injected via {!Nl_wsim.inject_stuck_at}). *)
+val of_sim : ?label:string -> Nl_sim.t -> Engine.t
+(** Wrap an existing simulator (e.g. one that already has faults
+    injected via {!Nl_sim.inject_stuck_at}). *)

@@ -1,3 +1,14 @@
+(* Gate-level simulator: every net carries [lanes] independent
+   two-valued simulations packed into native ints, so one bitwise word
+   op per gate advances all lanes at once (the Hardcaml trick, applied
+   to multi-scenario regression instead of wide buses).  A single-pattern
+   simulation is simply [lanes = 1]: one word per net.
+
+   Packing invariant: bits of inactive lanes (beyond [lanes] in the last
+   word) are always 0.  The non-inverting gates preserve that on their
+   own; Not/Nand/Nor mask their result back to the active lanes, and
+   Mux2 is computed as (a & s) | (b & ~s) whose operands are masked. *)
+
 (* Global activity counters (see Metrics.Perf). *)
 let ctr_evals = Perf.counter "nl_sim.gate_evals"
 let ctr_skipped = Perf.counter "nl_sim.cells_skipped"
@@ -19,62 +30,9 @@ let () =
              module_name)
     | _ -> None)
 
-type t = {
-  nl : Netlist.t;
-  mode : mode;
-  values : bool array;  (* indexed by net *)
-  toggles : int array;  (* transitions per net, for power estimation *)
-  order : Netlist.cell array;  (* combinational cells, topologically sorted *)
-  dffs : Netlist.cell array;
-  in_nets : (string, Netlist.net array) Hashtbl.t;
-  out_nets : (string, Netlist.net array) Hashtbl.t;
-  (* Event-driven machinery.  [level.(ci)] is the logic depth of cell
-     [order.(ci)]; a cell's level is strictly greater than the level of
-     any combinational cell driving one of its inputs, so one ascending
-     sweep over [buckets] settles the dirty region. *)
-  level : int array;  (* per index into [order] *)
-  fanout : int array array;  (* net -> indices into [order] reading it *)
-  buckets : int list array;  (* per level: pending cell indices *)
-  pending : bool array;  (* per index into [order]: already scheduled *)
-  mutable need_full : bool;  (* next settle evaluates everything *)
-  (* Toggle-accounting epoch (clock edge + post-edge settle): the value
-     each touched net had when the epoch opened, recorded lazily at its
-     first change.  Bit-identical to the full snapshot/compare of
-     [Full_eval] mode because inputs never move during the epoch. *)
-  epoch_pre : bool array;
-  epoch_seen : bool array;
-  mutable epoch_touched : int list;
-  mutable in_epoch : bool;
-  mutable n_cycles : int;
-  mutable n_evals : int;
-  mutable n_skipped : int;
-  mutable n_full_settles : int;
-  (* Optional per-cell evaluation profile (indexed like [order]);
-     [ [||] ] until [enable_profile] allocates it. *)
-  mutable profiling : bool;
-  mutable eval_counts : int array;
-  (* Per-bit toggle coverage; [None] until [enable_toggle_cover].
-     Recording piggybacks on the per-cycle toggle accounting that runs
-     anyway, so a disabled run pays one branch per changed net. *)
-  mutable cover : Cover.Toggle.t option;
-  (* Windowed switching-activity sampler for dynamic power estimation;
-     [None] until [enable_power_sampler].  Rides the same per-cycle
-     toggle accounting (snapshot compare in [Full_eval], epoch compare
-     in [Event_driven]), so both modes sample identical activity. *)
-  mutable activity : Cover.Activity.t option;
-  (* Causal event log plumbing (see Obs.Event), allocated lazily by
-     [enable_events]: [ev_last.(n)] is the seq of net [n]'s latest
-     change event, so a cell evaluation that moves its output is caused
-     by the latest change among its input nets — the fanout propagation
-     made explicit.  [ev_ctx]/[ev_ctx_stim] carry the cause/kind for
-     the shared [drive] path (stimulus vs flip-flop commit).  Off by
-     default: the hot paths pay one [ev_on] branch per changed net. *)
-  mutable ev_on : bool;
-  mutable ev_last : int array;
-  mutable ev_labels : string array;
-  mutable ev_ctx : int;
-  mutable ev_ctx_stim : bool;
-}
+(* Lanes per machine word: all representable bits of an OCaml int,
+   including the sign bit (only bitwise ops ever touch lane words). *)
+let lane_bits = Sys.int_size
 
 let topo_order nl =
   let cells = Netlist.cells nl in
@@ -101,10 +59,8 @@ let topo_order nl =
   List.iter visit comb;
   Array.of_list (List.rev !order)
 
-(* Static scheduling structure, shared with the word-parallel simulator
-   ([Nl_wsim]): both walk the same topological order, levels and fanout
-   lists, so their activity-based scheduling is identical by
-   construction. *)
+(* Static scheduling structure: topological order, levels and fanout
+   lists, built once per netlist. *)
 module Sched = struct
   type t = {
     order : Netlist.cell array;
@@ -187,35 +143,121 @@ module Sched = struct
       labels
 end
 
-let create ?(mode = Event_driven) nl =
-  let s = Sched.build nl in
+type t = {
+  nl : Netlist.t;
+  mode : mode;
+  lanes : int;
+  nw : int;  (* words per net *)
+  word_mask : int array;  (* per word: active-lane bits *)
+  values : int array;  (* net [n], word [w] at [n*nw + w] *)
+  order : Netlist.cell array;  (* combinational cells, topologically sorted *)
+  dffs : Netlist.cell array;
+  in_nets : (string, Netlist.net array) Hashtbl.t;
+  out_nets : (string, Netlist.net array) Hashtbl.t;
+  (* Event-driven machinery.  [level.(ci)] is the logic depth of cell
+     [order.(ci)]; a cell's level is strictly greater than the level of
+     any combinational cell driving one of its inputs, so one ascending
+     sweep over [buckets] settles the dirty region.  A cell is dirty
+     when any lane of any input moved. *)
+  level : int array;
+  fanout : int array array;  (* net -> indices into [order] reading it *)
+  buckets : int list array;  (* per level: pending cell indices *)
+  pending : bool array;  (* per index into [order]: already scheduled *)
+  mutable need_full : bool;  (* next settle evaluates everything *)
+  (* Per-cycle toggle accounting: [toggles] counts lane-0 transitions
+     per net; the full change masks feed per-lane coverage and activity
+     when enabled.  In event mode the epoch (clock edge + post-edge
+     settle) records the words each touched net had when it opened, at
+     its first change — identical to the full snapshot compare of
+     [Full_eval] because inputs never move during the epoch. *)
+  toggles : int array;
+  epoch_pre : int array;
+  epoch_seen : bool array;
+  mutable epoch_touched : int list;
+  mutable in_epoch : bool;
+  dff_buf : int array;  (* dff sampling buffer, [dffs * nw] *)
+  snapshot : int array;  (* Full_eval pre-edge copy of [values] *)
+  mutable n_cycles : int;
+  mutable n_evals : int;
+  mutable n_skipped : int;
+  mutable n_full_settles : int;
+  (* Per-lane stuck-at forces, indexed like [values]: a written word
+     becomes (x & ~f_mask) | f_val.  [ [||] ] until the first
+     injection, so fault-free runs pay one branch per write. *)
+  mutable has_faults : bool;
+  mutable f_mask : int array;
+  mutable f_val : int array;
+  mutable n_faults : int;
+  (* Optional per-cell evaluation profile (indexed like [order]);
+     [ [||] ] until [enable_profile] allocates it. *)
+  mutable profiling : bool;
+  mutable eval_counts : int array;
+  (* Per-lane toggle coverage and windowed activity samplers; [ [||] ]
+     until enabled.  Both ride the toggle accounting above, so the two
+     modes record identical coverage and activity. *)
+  mutable cover : Cover.Toggle.t array;
+  mutable activity : Cover.Activity.t array;
+  (* Causal event log plumbing (see Obs.Event), allocated lazily by
+     [enable_events]: [ev_last.(n)] is the seq of net [n]'s latest
+     change event, so a cell evaluation that moves its output is caused
+     by the latest change among its input nets.  [ev_ctx]/[ev_ctx_stim]
+     classify [drive_word] writes: stimulus by default, flip-flop commit
+     with a pre-sampled cause during the clock edge.  Off by default:
+     the hot paths pay one [ev_on] branch per changed net. *)
+  mutable ev_on : bool;
+  mutable ev_last : int array;
+  mutable ev_labels : string array;
+  mutable ev_ctx : int;
+  mutable ev_ctx_stim : bool;
+}
+
+let create ?(mode = Event_driven) ?(lanes = 1) nl =
+  if lanes < 1 then invalid_arg "Nl_sim.create: lanes must be >= 1";
+  let { Sched.order; dffs; level; fanout; n_levels; in_nets; out_nets } =
+    Sched.build nl
+  in
+  let nw = (lanes + lane_bits - 1) / lane_bits in
+  let word_mask =
+    Array.init nw (fun w ->
+        let k = min lane_bits (lanes - (w * lane_bits)) in
+        if k = lane_bits then -1 else (1 lsl k) - 1)
+  in
   let n_nets = Netlist.net_count nl in
   {
     nl;
     mode;
-    values = Array.make n_nets false;
-    toggles = Array.make n_nets 0;
-    order = s.Sched.order;
-    dffs = s.Sched.dffs;
-    in_nets = s.Sched.in_nets;
-    out_nets = s.Sched.out_nets;
-    level = s.Sched.level;
-    fanout = s.Sched.fanout;
-    buckets = Array.make s.Sched.n_levels [];
-    pending = Array.make (Array.length s.Sched.order) false;
+    lanes;
+    nw;
+    word_mask;
+    values = Array.make (n_nets * nw) 0;
+    order;
+    dffs;
+    in_nets;
+    out_nets;
+    level;
+    fanout;
+    buckets = Array.make n_levels [];
+    pending = Array.make (Array.length order) false;
     need_full = true;
-    epoch_pre = Array.make n_nets false;
+    toggles = Array.make n_nets 0;
+    epoch_pre = Array.make (n_nets * nw) 0;
     epoch_seen = Array.make n_nets false;
     epoch_touched = [];
     in_epoch = false;
+    dff_buf = Array.make (Array.length dffs * nw) 0;
+    snapshot = Array.make (n_nets * nw) 0;
     n_cycles = 0;
     n_evals = 0;
     n_skipped = 0;
     n_full_settles = 0;
+    has_faults = false;
+    f_mask = [||];
+    f_val = [||];
+    n_faults = 0;
     profiling = false;
     eval_counts = [||];
-    cover = None;
-    activity = None;
+    cover = [||];
+    activity = [||];
     ev_on = false;
     ev_last = [||];
     ev_labels = [||];
@@ -245,12 +287,11 @@ let ev_cell_cause t (c : Netlist.cell) =
     c.ins;
   !best
 
-let ev_net t n v kind cause =
-  let s =
-    Obs.Event.emit ~cycle:t.n_cycles ~value:(Bool.to_int v) ~cause kind
-      t.ev_labels.(n)
-  in
-  t.ev_last.(n) <- s
+(* A change event on net [n], valued with its lane-0 bit. *)
+let ev_net t n kind cause =
+  let value = t.values.(n * t.nw) land 1 in
+  t.ev_last.(n) <-
+    Obs.Event.emit ~cycle:t.n_cycles ~value ~cause kind t.ev_labels.(n)
 
 let schedule t ci =
   if not t.pending.(ci) then begin
@@ -262,105 +303,79 @@ let schedule t ci =
 let record_epoch t n =
   if t.in_epoch && not t.epoch_seen.(n) then begin
     t.epoch_seen.(n) <- true;
-    t.epoch_pre.(n) <- t.values.(n);
+    let base = n * t.nw in
+    for i = base to base + t.nw - 1 do
+      t.epoch_pre.(i) <- t.values.(i)
+    done;
     t.epoch_touched <- n :: t.epoch_touched
   end
 
-(* Write a net and wake its combinational readers if the value moved.
-   Callers are stimulus ([ev_ctx_stim], no cause) and the flip-flop
-   commit of [step_event] ([ev_ctx] = the D input's latest change). *)
-let drive t n v =
-  if t.values.(n) <> v then begin
-    record_epoch t n;
-    t.values.(n) <- v;
-    Array.iter (fun ci -> schedule t ci) t.fanout.(n);
-    if emitting t then
-      ev_net t n v
-        (if t.ev_ctx_stim then Obs.Event.Stimulus else Obs.Event.Net_change)
-        t.ev_ctx
-  end
+let apply_fault t idx x = x land lnot t.f_mask.(idx) lor t.f_val.(idx)
 
-(* Prebound input-port handles: the stimulus hot path pays the name
-   lookup once, then drives bits straight out of a machine word (no
-   per-bit [Bitvec.get] limb arithmetic for ports up to 62 bits). *)
-type port = { p_name : string; p_nets : Netlist.net array }
+let[@inline] input v (ins : int array) i nw w =
+  Array.unsafe_get v ((Array.unsafe_get ins i * nw) + w)
 
-let in_port t name =
-  match Hashtbl.find_opt t.in_nets name with
-  | Some nets -> { p_name = name; p_nets = nets }
-  | None -> raise Not_found
-
-(* Bit [i] of the two's-complement int [v] ([asr] caps at the sign). *)
-let int_bit v i = (v asr min i 62) land 1 = 1
-
-let drive_port_int t p v =
-  let nets = p.p_nets in
-  match t.mode with
-  | Full_eval ->
-      for i = 0 to Array.length nets - 1 do
-        t.values.(Array.unsafe_get nets i) <- int_bit v i
-      done
-  | Event_driven ->
-      for i = 0 to Array.length nets - 1 do
-        drive t (Array.unsafe_get nets i) (int_bit v i)
-      done
-
-let drive_port t p bv =
-  let w = Array.length p.p_nets in
-  if Bitvec.width bv <> w then
-    invalid_arg
-      (Printf.sprintf "Nl_sim.set_input %s: width %d expected %d" p.p_name
-         (Bitvec.width bv) w);
-  if w <= 62 then drive_port_int t p (Bitvec.to_int bv)
-  else
-    match t.mode with
-    | Full_eval ->
-        Array.iteri (fun i n -> t.values.(n) <- Bitvec.get bv i) p.p_nets
-    | Event_driven ->
-        Array.iteri (fun i n -> drive t n (Bitvec.get bv i)) p.p_nets
-
-let set_input t name bv = drive_port t (in_port t name) bv
-let set_input_int t name v = drive_port_int t (in_port t name) v
-
-let read_bus t nets =
-  Bitvec.init (Array.length nets) (fun i -> t.values.(nets.(i)))
-
-let get_output t name =
-  match Hashtbl.find_opt t.out_nets name with
-  | None -> raise Not_found
-  | Some nets -> read_bus t nets
-
-let get_output_int t name = Bitvec.to_int (get_output t name)
-
-let eval_kind t (c : Netlist.cell) =
-  let v = t.values in
+(* One word of one gate, all its lanes at once; [mask] is the word's
+   active-lane mask. *)
+let eval_word v nw mask (c : Netlist.cell) w =
+  let ins = c.ins in
   match c.kind with
-  | Cell.Const0 -> false
-  | Const1 -> true
-  | Buf -> v.(c.ins.(0))
-  | Not -> not v.(c.ins.(0))
-  | And2 -> v.(c.ins.(0)) && v.(c.ins.(1))
-  | Or2 -> v.(c.ins.(0)) || v.(c.ins.(1))
-  | Xor2 -> v.(c.ins.(0)) <> v.(c.ins.(1))
-  | Nand2 -> not (v.(c.ins.(0)) && v.(c.ins.(1)))
-  | Nor2 -> not (v.(c.ins.(0)) || v.(c.ins.(1)))
-  | Mux2 -> if v.(c.ins.(0)) then v.(c.ins.(1)) else v.(c.ins.(2))
-  | Dff -> v.(c.out)
+  | Cell.Const0 -> 0
+  | Const1 -> mask
+  | Buf -> input v ins 0 nw w
+  | Not -> lnot (input v ins 0 nw w) land mask
+  | And2 -> input v ins 0 nw w land input v ins 1 nw w
+  | Or2 -> input v ins 0 nw w lor input v ins 1 nw w
+  | Xor2 -> input v ins 0 nw w lxor input v ins 1 nw w
+  | Nand2 -> lnot (input v ins 0 nw w land input v ins 1 nw w) land mask
+  | Nor2 -> lnot (input v ins 0 nw w lor input v ins 1 nw w) land mask
+  | Mux2 ->
+      let s = input v ins 0 nw w in
+      input v ins 1 nw w land s lor (input v ins 2 nw w land lnot s)
+  | Dff -> Array.unsafe_get v ((c.out * nw) + w)
 
-let eval_cell t (c : Netlist.cell) = t.values.(c.out) <- eval_kind t c
+(* Evaluate a cell, writing only moved words; true if any lane changed.
+   The epoch snapshot is taken before the first write to the net. *)
+let eval_cell_changed t (c : Netlist.cell) =
+  let v = t.values and nw = t.nw in
+  let base = c.out * nw in
+  let changed = ref false in
+  for w = 0 to nw - 1 do
+    let x = eval_word v nw t.word_mask.(w) c w in
+    let x = if t.has_faults then apply_fault t (base + w) x else x in
+    if v.(base + w) <> x then begin
+      if not !changed then begin
+        record_epoch t c.out;
+        changed := true
+      end;
+      v.(base + w) <- x
+    end
+  done;
+  if !changed && emitting t then
+    ev_net t c.out Obs.Event.Net_change (ev_cell_cause t c);
+  !changed
+
+let count_full_settle t =
+  let n = Array.length t.order in
+  t.n_evals <- t.n_evals + n;
+  t.n_full_settles <- t.n_full_settles + 1;
+  Perf.incr ~by:n ctr_evals;
+  Obs.Hist.observe_int hist_evals n;
+  if t.profiling then
+    Array.iteri (fun ci c -> t.eval_counts.(ci) <- c + 1) t.eval_counts
 
 let settle_full t =
-  if t.profiling then
-    Array.iteri
-      (fun ci c ->
-        eval_cell t c;
-        t.eval_counts.(ci) <- t.eval_counts.(ci) + 1)
-      t.order
-  else Array.iter (eval_cell t) t.order;
-  t.n_evals <- t.n_evals + Array.length t.order;
-  t.n_full_settles <- t.n_full_settles + 1;
-  Perf.incr ~by:(Array.length t.order) ctr_evals;
-  Obs.Hist.observe_int hist_evals (Array.length t.order)
+  let v = t.values and nw = t.nw and order = t.order in
+  let faulty = t.has_faults in
+  for ci = 0 to Array.length order - 1 do
+    let c = Array.unsafe_get order ci in
+    let base = c.out * nw in
+    for w = 0 to nw - 1 do
+      let x = eval_word v nw (Array.unsafe_get t.word_mask w) c w in
+      v.(base + w) <- (if faulty then apply_fault t (base + w) x else x)
+    done
+  done;
+  count_full_settle t
 
 (* One settle in event mode: either a forced full pass (first settle, in
    topological order, epoch recording preserved) or an ascending-level
@@ -369,22 +384,9 @@ let settle_full t =
 let settle_event t =
   if t.need_full then begin
     t.need_full <- false;
-    Array.iteri
-      (fun ci (c : Netlist.cell) ->
-        let r = eval_kind t c in
-        if t.profiling then t.eval_counts.(ci) <- t.eval_counts.(ci) + 1;
-        if t.values.(c.out) <> r then begin
-          record_epoch t c.out;
-          t.values.(c.out) <- r;
-          if emitting t then
-            ev_net t c.out r Obs.Event.Net_change (ev_cell_cause t c)
-        end)
-      t.order;
-    t.n_evals <- t.n_evals + Array.length t.order;
-    t.n_full_settles <- t.n_full_settles + 1;
-    Perf.incr ~by:(Array.length t.order) ctr_evals;
+    Array.iter (fun c -> ignore (eval_cell_changed t c)) t.order;
+    count_full_settle t;
     Perf.incr ctr_full;
-    Obs.Hist.observe_int hist_evals (Array.length t.order);
     (* Anything scheduled beforehand was just evaluated. *)
     Array.iteri
       (fun l b ->
@@ -402,16 +404,10 @@ let settle_event t =
             t.buckets.(l) <- rest;
             t.pending.(ci) <- false;
             let c = t.order.(ci) in
-            let r = eval_kind t c in
             incr evals;
             if t.profiling then t.eval_counts.(ci) <- t.eval_counts.(ci) + 1;
-            if t.values.(c.out) <> r then begin
-              record_epoch t c.out;
-              t.values.(c.out) <- r;
-              Array.iter (fun cj -> schedule t cj) t.fanout.(c.out);
-              if emitting t then
-                ev_net t c.out r Obs.Event.Net_change (ev_cell_cause t c)
-            end;
+            if eval_cell_changed t c then
+              Array.iter (fun cj -> schedule t cj) t.fanout.(c.Netlist.out);
             drain ()
       in
       drain ()
@@ -435,32 +431,236 @@ let settle t =
         Obs.Span.add_attr_int "evals" (t.n_evals - e0))
   else settle_inner t
 
+(* ------------------------------------------------------------------ *)
+(* Stimulus                                                            *)
+
+(* Write one word of a net; wakes combinational readers in event mode.
+   Callers are stimulus ([ev_ctx_stim], no cause) and the flip-flop
+   commit of [step_event] ([ev_ctx] = the D input's latest change). *)
+let drive_word t n w x =
+  let idx = (n * t.nw) + w in
+  let x = if t.has_faults then apply_fault t idx x else x in
+  if t.values.(idx) <> x then begin
+    record_epoch t n;
+    t.values.(idx) <- x;
+    (match t.mode with
+    | Event_driven -> Array.iter (fun ci -> schedule t ci) t.fanout.(n)
+    | Full_eval -> ());
+    if emitting t then
+      ev_net t n
+        (if t.ev_ctx_stim then Obs.Event.Stimulus else Obs.Event.Net_change)
+        t.ev_ctx
+  end
+
+(* Every lane of net [n] to [b]. *)
+let drive_bit t n b =
+  for w = 0 to t.nw - 1 do
+    drive_word t n w (if b then t.word_mask.(w) else 0)
+  done
+
+let port_nets tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some nets -> nets
+  | None -> raise Not_found
+
+let check_lane t lane =
+  if lane < 0 || lane >= t.lanes then
+    invalid_arg
+      (Printf.sprintf "Nl_sim: lane %d out of range (%d lanes)" lane t.lanes)
+
+let check_width name bv nets =
+  if Bitvec.width bv <> Array.length nets then
+    invalid_arg
+      (Printf.sprintf "Nl_sim.set_input %s: width %d expected %d" name
+         (Bitvec.width bv) (Array.length nets))
+
+(* Prebound input-port handles: the stimulus hot path pays the name
+   lookup once, then drives bits straight out of a machine word (no
+   per-bit [Bitvec.get] limb arithmetic for ports up to 62 bits). *)
+type port = { p_name : string; p_nets : Netlist.net array }
+
+let in_port t name = { p_name = name; p_nets = port_nets t.in_nets name }
+
+let drive_port_int t p v =
+  let nets = p.p_nets in
+  for i = 0 to Array.length nets - 1 do
+    (* Bit [i] of the two's-complement int [v] ([asr] caps at the sign). *)
+    drive_bit t (Array.unsafe_get nets i) ((v asr min i 62) land 1 = 1)
+  done
+
+let drive_port t p bv =
+  check_width p.p_name bv p.p_nets;
+  if Array.length p.p_nets <= 62 then drive_port_int t p (Bitvec.to_int bv)
+  else Array.iteri (fun i n -> drive_bit t n (Bitvec.get bv i)) p.p_nets
+
+let set_input t name bv = drive_port t (in_port t name) bv
+let set_input_int t name v = drive_port_int t (in_port t name) v
+
+let set_input_lane t ~lane name bv =
+  check_lane t lane;
+  let nets = port_nets t.in_nets name in
+  check_width name bv nets;
+  let w = lane / lane_bits and bit = 1 lsl (lane mod lane_bits) in
+  Array.iteri
+    (fun i n ->
+      let cur = t.values.((n * t.nw) + w) in
+      let x = if Bitvec.get bv i then cur lor bit else cur land lnot bit in
+      drive_word t n w x)
+    nets
+
+(* Per-lane stimulus for a whole port at once: [cols.(i)] holds bit [i]
+   of every lane (width [lanes]) — the output of {!Bitvec.transpose}
+   applied to per-lane port values. *)
+let set_input_packed t name cols =
+  let nets = port_nets t.in_nets name in
+  if Array.length cols <> Array.length nets then
+    invalid_arg
+      (Printf.sprintf "Nl_sim.set_input_packed %s: %d columns expected %d"
+         name (Array.length cols) (Array.length nets));
+  Array.iteri
+    (fun i n ->
+      let col = cols.(i) in
+      if Bitvec.width col <> t.lanes then
+        invalid_arg
+          (Printf.sprintf
+             "Nl_sim.set_input_packed %s: column width %d expected %d lanes"
+             name (Bitvec.width col) t.lanes);
+      for w = 0 to t.nw - 1 do
+        let lo = w * lane_bits in
+        let x = ref 0 in
+        for b = min t.lanes (lo + lane_bits) - 1 downto lo do
+          x := (!x lsl 1) lor Bool.to_int (Bitvec.get col b)
+        done;
+        drive_word t n w !x
+      done)
+    nets
+
+(* ------------------------------------------------------------------ *)
+(* Observation                                                         *)
+
+let read_lane_bit t n lane =
+  t.values.((n * t.nw) + (lane / lane_bits)) lsr (lane mod lane_bits) land 1
+  = 1
+
+let get_output ?(lane = 0) t name =
+  check_lane t lane;
+  let nets = port_nets t.out_nets name in
+  let w = lane / lane_bits and b = lane mod lane_bits in
+  Bitvec.init (Array.length nets) (fun i ->
+      (t.values.((nets.(i) * t.nw) + w) lsr b) land 1 = 1)
+
+let get_output_int ?lane t name = Bitvec.to_int (get_output ?lane t name)
+
+let get_output_packed t name =
+  Array.map
+    (fun n -> Bitvec.init t.lanes (read_lane_bit t n))
+    (port_nets t.out_nets name)
+
+(* Lanes whose value on [port] differs from the golden lane 0 —
+   computed on the packed words, one xor per word per bit of the port. *)
+let diverging_lanes t name =
+  let diff = Array.make t.nw 0 in
+  Array.iter
+    (fun n ->
+      let base = n * t.nw in
+      let expect = if t.values.(base) land 1 = 1 then -1 else 0 in
+      for w = 0 to t.nw - 1 do
+        diff.(w) <-
+          diff.(w) lor ((t.values.(base + w) lxor expect) land t.word_mask.(w))
+      done)
+    (port_nets t.out_nets name);
+  let acc = ref [] in
+  for w = t.nw - 1 downto 0 do
+    let d = diff.(w) in
+    if d <> 0 then
+      for b = lane_bits - 1 downto 0 do
+        if (d lsr b) land 1 = 1 then acc := (w * lane_bits) + b :: !acc
+      done
+  done;
+  !acc
+
+let net_value t n = t.values.(n * t.nw) land 1 = 1
+
+(* Hinted internal nets, for hierarchical waveform probes.  Port nets
+   are excluded — they are traced under their port names already. *)
+let probes t =
+  let port_net = Hashtbl.create 64 in
+  List.iter
+    (fun (_, nets) -> Array.iter (fun n -> Hashtbl.replace port_net n ()) nets)
+    (Netlist.inputs t.nl @ Netlist.outputs t.nl);
+  let acc = ref [] in
+  for n = Netlist.net_count t.nl - 1 downto 0 do
+    if (not (Hashtbl.mem port_net n)) && Netlist.hint_of t.nl n <> None then
+      acc := (Netlist.describe_net t.nl n, n) :: !acc
+  done;
+  List.sort compare !acc
+
+(* ------------------------------------------------------------------ *)
+(* Clock cycle                                                         *)
+
+(* Per-cycle toggle accounting for net [n] against its pre-edge words
+   [pre] (indexed like [values]): the lane-0 counter always, per-lane
+   coverage and activity sampling when enabled. *)
+let account_toggles t n pre =
+  let nw = t.nw in
+  let base = n * nw in
+  if (Array.unsafe_get pre base lxor t.values.(base)) land 1 <> 0 then
+    t.toggles.(n) <- t.toggles.(n) + 1;
+  if Array.length t.cover > 0 || Array.length t.activity > 0 then
+    for w = 0 to nw - 1 do
+      let now = t.values.(base + w) in
+      let ch = pre.(base + w) lxor now in
+      if ch <> 0 then
+        for b = 0 to min lane_bits (t.lanes - (w * lane_bits)) - 1 do
+          if (ch lsr b) land 1 = 1 then begin
+            let lane = (w * lane_bits) + b in
+            if Array.length t.cover > 0 then
+              Cover.Toggle.record t.cover.(lane) n
+                ~rising:((now lsr b) land 1 = 1);
+            if Array.length t.activity > 0 then
+              Cover.Activity.record t.activity.(lane) n
+          end
+        done
+    done
+
+let sample_dffs t =
+  let nw = t.nw and v = t.values in
+  Array.iteri
+    (fun i (c : Netlist.cell) ->
+      let src = c.ins.(0) * nw and dst = i * nw in
+      for w = 0 to nw - 1 do
+        t.dff_buf.(dst + w) <- v.(src + w)
+      done)
+    t.dffs;
+  t.n_evals <- t.n_evals + Array.length t.dffs;
+  Perf.incr ~by:(Array.length t.dffs) ctr_evals
+
+(* Advance every lane's activity window once per clock cycle. *)
+let end_activity_cycle t = Array.iter Cover.Activity.end_cycle t.activity
+
 let step_full t =
   settle_full t;
   (* Toggle accounting once per cycle, against the settled pre-edge
      values; a per-settle count would double-book glitch-free nets. *)
-  let snapshot = Array.copy t.values in
+  Array.blit t.values 0 t.snapshot 0 (Array.length t.values);
   (* Sample every d, then commit: flip-flops see the pre-edge values. *)
-  let sampled = Array.map (fun c -> t.values.(c.Netlist.ins.(0))) t.dffs in
-  Array.iteri (fun i c -> t.values.(c.Netlist.out) <- sampled.(i)) t.dffs;
-  t.n_evals <- t.n_evals + Array.length t.dffs;
-  Perf.incr ~by:(Array.length t.dffs) ctr_evals;
+  sample_dffs t;
+  let nw = t.nw and faulty = t.has_faults in
+  Array.iteri
+    (fun i (c : Netlist.cell) ->
+      let base = c.out * nw in
+      for w = 0 to nw - 1 do
+        let x = t.dff_buf.((i * nw) + w) in
+        t.values.(base + w) <-
+          (if faulty then apply_fault t (base + w) x else x)
+      done)
+    t.dffs;
   t.n_cycles <- t.n_cycles + 1;
   settle_full t;
-  for n = 0 to Array.length t.values - 1 do
-    if t.values.(n) <> snapshot.(n) then begin
-      t.toggles.(n) <- t.toggles.(n) + 1;
-      (match t.activity with
-      | None -> ()
-      | Some act -> Cover.Activity.record act n);
-      match t.cover with
-      | None -> ()
-      | Some cov -> Cover.Toggle.record cov n ~rising:t.values.(n)
-    end
+  for n = 0 to Array.length t.toggles - 1 do
+    account_toggles t n t.snapshot
   done;
-  match t.activity with
-  | None -> ()
-  | Some act -> Cover.Activity.end_cycle act
+  end_activity_cycle t
 
 let step_event t =
   (* Flush pending input changes first; the toggle epoch then covers
@@ -468,50 +668,40 @@ let step_event t =
      window of [Full_eval]. *)
   settle_event t;
   t.in_epoch <- true;
-  let sampled = Array.map (fun c -> t.values.(c.Netlist.ins.(0))) t.dffs in
-  if emitting t then begin
-    (* Causes sampled pre-commit: a flip-flop output change is caused
-       by the change that last moved its D input, not by commits of
-       other flip-flops this edge. *)
-    let causes =
+  sample_dffs t;
+  (* Causes sampled pre-commit: a flip-flop output change is caused by
+     the change that last moved its D input, not by commits of other
+     flip-flops this edge. *)
+  let emit = emitting t in
+  let causes =
+    if emit then
       Array.map (fun (c : Netlist.cell) -> t.ev_last.(c.ins.(0))) t.dffs
-    in
-    t.ev_ctx_stim <- false;
-    Array.iteri
-      (fun i (c : Netlist.cell) ->
-        t.ev_ctx <- causes.(i);
-        drive t c.out sampled.(i))
-      t.dffs;
-    t.ev_ctx_stim <- true;
-    t.ev_ctx <- Obs.Event.no_cause
-  end
-  else
-    Array.iteri (fun i c -> drive t c.Netlist.out sampled.(i)) t.dffs;
-  t.n_evals <- t.n_evals + Array.length t.dffs;
-  Perf.incr ~by:(Array.length t.dffs) ctr_evals;
+    else [||]
+  in
+  t.ev_ctx_stim <- not emit;
+  let nw = t.nw in
+  Array.iteri
+    (fun i (c : Netlist.cell) ->
+      if emit then t.ev_ctx <- causes.(i);
+      for w = 0 to nw - 1 do
+        drive_word t c.out w t.dff_buf.((i * nw) + w)
+      done)
+    t.dffs;
+  t.ev_ctx_stim <- true;
+  t.ev_ctx <- Obs.Event.no_cause;
   t.n_cycles <- t.n_cycles + 1;
   settle_event t;
   if Obs.Hist.enabled () then
     Obs.Hist.observe_int hist_touched (List.length t.epoch_touched);
   List.iter
     (fun n ->
-      if t.values.(n) <> t.epoch_pre.(n) then begin
-        t.toggles.(n) <- t.toggles.(n) + 1;
-        (match t.activity with
-        | None -> ()
-        | Some act -> Cover.Activity.record act n);
-        match t.cover with
-        | None -> ()
-        | Some cov -> Cover.Toggle.record cov n ~rising:t.values.(n)
-      end;
+      account_toggles t n t.epoch_pre;
       t.epoch_seen.(n) <- false)
     t.epoch_touched;
   t.epoch_touched <- [];
   t.in_epoch <- false;
-  (match t.activity with
-  | None -> ()
-  | Some act -> Cover.Activity.end_cycle act);
-  if t.cover <> None && emitting t then
+  end_activity_cycle t;
+  if Array.length t.cover > 0 && emitting t then
     ignore
       (Obs.Event.emit ~cycle:t.n_cycles Obs.Event.Cover_epoch
          (Netlist.name t.nl))
@@ -534,15 +724,67 @@ let run t n =
     step t
   done
 
-let cycles t = t.n_cycles
-let gate_evals t = t.n_evals
-let cells_skipped t = t.n_skipped
-let comb_cells t = Array.length t.order
-let dff_cells t = Array.length t.dffs
+(* ------------------------------------------------------------------ *)
+(* Fault injection                                                     *)
 
-let net_toggles t n = t.toggles.(n)
-let full_settles t = t.n_full_settles
-let toggle_total t = Array.fold_left ( + ) 0 t.toggles
+let inject_stuck_at t ~lane ~net ~value =
+  check_lane t lane;
+  if net < 0 || net >= Netlist.net_count t.nl then
+    invalid_arg
+      (Printf.sprintf "Nl_sim.inject_stuck_at: net %d out of range" net);
+  if not t.has_faults then begin
+    t.f_mask <- Array.make (Array.length t.values) 0;
+    t.f_val <- Array.make (Array.length t.values) 0;
+    t.has_faults <- true
+  end;
+  let idx = (net * t.nw) + (lane / lane_bits) in
+  let bit = 1 lsl (lane mod lane_bits) in
+  t.f_mask.(idx) <- t.f_mask.(idx) lor bit;
+  t.f_val.(idx) <-
+    (if value then t.f_val.(idx) lor bit else t.f_val.(idx) land lnot bit);
+  t.n_faults <- t.n_faults + 1;
+  (* Apply immediately, so faults on input and flip-flop nets (which no
+     combinational evaluation rewrites) take effect from the next
+     settle; downstream logic is rescheduled. *)
+  let x = apply_fault t idx t.values.(idx) in
+  if t.values.(idx) <> x then begin
+    t.values.(idx) <- x;
+    match t.mode with
+    | Event_driven -> Array.iter (fun ci -> schedule t ci) t.fanout.(net)
+    | Full_eval -> ()
+  end;
+  if emitting t then
+    t.ev_last.(net) <-
+      Obs.Event.emit ~cycle:t.n_cycles ~lane ~value:(Bool.to_int value)
+        ~cause:t.ev_last.(net) Obs.Event.Fault t.ev_labels.(net)
+
+let faults t = t.n_faults
+
+(* ------------------------------------------------------------------ *)
+(* Coverage, power sampling and profiling                              *)
+
+let lane_collector t arr lane =
+  check_lane t lane;
+  if Array.length arr = 0 then None else Some arr.(lane)
+
+let enable_toggle_cover t =
+  if Array.length t.cover = 0 then begin
+    let names = Sched.net_labels t.nl in
+    t.cover <- Array.init t.lanes (fun _ -> Cover.Toggle.create ~names)
+  end
+
+let lane_cover t lane = lane_collector t t.cover lane
+let toggle_cover t = lane_cover t 0
+
+let enable_power_sampler ?window t =
+  if Array.length t.activity = 0 then begin
+    let slots = Netlist.net_count t.nl in
+    t.activity <-
+      Array.init t.lanes (fun _ -> Cover.Activity.create ?window ~slots ())
+  end
+
+let lane_activity t lane = lane_collector t t.activity lane
+let power_activity t = lane_activity t 0
 
 let enable_profile t =
   if not t.profiling then begin
@@ -552,48 +794,41 @@ let enable_profile t =
 
 let profiling t = t.profiling
 
-let net_labels t = Sched.net_labels t.nl
-let net_value t n = t.values.(n)
+let by_count_desc (la, a) (lb, b) =
+  if a <> b then compare b a else compare la lb
 
-(* Hinted internal nets, for hierarchical waveform probes.  Port nets
-   are excluded — they are traced under their port names already. *)
-let probes t =
-  let port_net = Hashtbl.create 64 in
-  List.iter
-    (fun (_, nets) -> Array.iter (fun n -> Hashtbl.replace port_net n ()) nets)
-    (Netlist.inputs t.nl @ Netlist.outputs t.nl);
+let net_activity t =
+  let labels = Sched.net_labels t.nl in
   let acc = ref [] in
-  for n = Netlist.net_count t.nl - 1 downto 0 do
-    if (not (Hashtbl.mem port_net n)) && Netlist.hint_of t.nl n <> None then
-      acc := (Netlist.describe_net t.nl n, n) :: !acc
-  done;
-  List.sort compare !acc
+  Array.iteri
+    (fun n c -> if c > 0 then acc := (labels.(n), c) :: !acc)
+    t.toggles;
+  List.sort by_count_desc !acc
 
-let enable_toggle_cover t =
-  match t.cover with
-  | Some _ -> ()
-  | None -> t.cover <- Some (Cover.Toggle.create ~names:(net_labels t))
-
-let toggle_cover t = t.cover
-
-let enable_power_sampler ?window t =
-  match t.activity with
-  | Some _ -> ()
-  | None ->
-      t.activity <-
-        Some (Cover.Activity.create ?window ~slots:(Netlist.net_count t.nl) ())
-
-let power_activity t = t.activity
+let cell_activity t =
+  let labels = if t.profiling then Sched.net_labels t.nl else [||] in
+  let acc = ref [] in
+  Array.iteri
+    (fun ci c ->
+      if c > 0 then
+        let cell = t.order.(ci) in
+        acc :=
+          ( Printf.sprintf "%s:%s" labels.(cell.Netlist.out)
+              (Cell.name cell.Netlist.kind),
+            c )
+          :: !acc)
+    t.eval_counts;
+  List.sort by_count_desc !acc
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / restore: net values plus the event-driven scheduler
-   state (pending set and level buckets) and the cycle count.  Toggle
-   counters, coverage and activity profiles are deliberately not
-   captured — a restore rewinds simulation state, not the
-   observability accumulated about it. *)
+(* Checkpoint / restore: packed net values plus the event-driven
+   scheduler state and the cycle count.  Fault forces, toggle counters,
+   coverage and activity are deliberately not captured — a restore
+   rewinds simulation state, not the observability accumulated about
+   it, and keeps whatever faults are currently armed. *)
 
 type checkpoint = {
-  ck_values : bool array;
+  ck_values : int array;
   ck_pending : bool array;
   ck_buckets : int list array;
   ck_need_full : bool;
@@ -616,7 +851,7 @@ let checkpoint t =
 let restore t ck =
   Array.blit ck.ck_values 0 t.values 0 (Array.length t.values);
   Array.blit ck.ck_pending 0 t.pending 0 (Array.length t.pending);
-  Array.iteri (fun i b -> t.buckets.(i) <- b) ck.ck_buckets;
+  Array.blit ck.ck_buckets 0 t.buckets 0 (Array.length t.buckets);
   t.need_full <- ck.ck_need_full;
   t.n_cycles <- ck.ck_cycles;
   (* Transient epoch state can only be non-empty mid-step; clear it so
@@ -625,38 +860,21 @@ let restore t ck =
   t.epoch_touched <- [];
   t.in_epoch <- false;
   (* Cause links must not leap across the rewind. *)
-  if Array.length t.ev_last > 0 then
-    Array.fill t.ev_last 0 (Array.length t.ev_last) Obs.Event.no_cause
+  Array.fill t.ev_last 0 (Array.length t.ev_last) Obs.Event.no_cause
 
 let checkpoint_cycle ck = ck.ck_cycles
 
-let by_count_desc (la, a) (lb, b) =
-  if a <> b then compare b a else compare la lb
+(* ------------------------------------------------------------------ *)
+(* Accessors                                                           *)
 
-let net_activity t =
-  let labels = net_labels t in
-  let acc = ref [] in
-  Array.iteri
-    (fun n c -> if c > 0 then acc := (labels.(n), c) :: !acc)
-    t.toggles;
-  List.sort by_count_desc !acc
-
-let cell_activity t =
-  if not t.profiling then []
-  else begin
-    let labels = net_labels t in
-    let acc = ref [] in
-    Array.iteri
-      (fun ci c ->
-        if c > 0 then begin
-          let cell = t.order.(ci) in
-          acc :=
-            ( Printf.sprintf "%s:%s"
-                labels.(cell.Netlist.out)
-                (Cell.name cell.Netlist.kind),
-              c )
-            :: !acc
-        end)
-      t.eval_counts;
-    List.sort by_count_desc !acc
-  end
+let lanes t = t.lanes
+let mode t = t.mode
+let netlist t = t.nl
+let cycles t = t.n_cycles
+let gate_evals t = t.n_evals
+let cells_skipped t = t.n_skipped
+let comb_cells t = Array.length t.order
+let dff_cells t = Array.length t.dffs
+let full_settles t = t.n_full_settles
+let net_toggles t n = t.toggles.(n)
+let toggle_total t = Array.fold_left ( + ) 0 t.toggles

@@ -9,30 +9,6 @@ type t = {
   out_nets : (string, Netlist.net array) Hashtbl.t;
 }
 
-(* Same levelization as the two-valued simulator. *)
-let topo_order nl =
-  let cells = Netlist.cells nl in
-  let comb = List.filter (fun c -> c.Netlist.kind <> Cell.Dff) cells in
-  let state = Hashtbl.create 256 in
-  let order = ref [] in
-  let rec visit (c : Netlist.cell) =
-    match Hashtbl.find_opt state c.out with
-    | Some 2 -> ()
-    | Some 1 -> failwith "Xprop: combinational loop"
-    | _ ->
-        Hashtbl.replace state c.out 1;
-        Array.iter
-          (fun n ->
-            match Netlist.driver nl n with
-            | Some d when d.Netlist.kind <> Cell.Dff -> visit d
-            | Some _ | None -> ())
-          c.ins;
-        Hashtbl.replace state c.out 2;
-        order := c :: !order
-  in
-  List.iter visit comb;
-  Array.of_list (List.rev !order)
-
 let create nl =
   Netlist.check nl;
   let in_nets = Hashtbl.create 8 and out_nets = Hashtbl.create 8 in
@@ -43,7 +19,7 @@ let create nl =
   {
     nl;
     values = Array.make (Netlist.net_count nl) L.X;
-    order = topo_order nl;
+    order = Nl_sim.topo_order nl;
     dffs =
       List.filter (fun c -> c.Netlist.kind = Cell.Dff) (Netlist.cells nl)
       |> Array.of_list;

@@ -5,13 +5,14 @@
     reset sequence and then asking which outputs or flip-flops are
     still unknown verifies that the design's reset logic actually
     initializes everything the environment can observe — the question
-    behind the two-valued simulators' silent power-up-to-zero
+    behind the two-valued simulator's silent power-up-to-zero
     assumption. *)
 
 type t
 
 val create : Netlist.t -> t
-(** All flip-flops and inputs start at [X]. *)
+(** All flip-flops and inputs start at [X].  Raises
+    {!Nl_sim.Combinational_loop} on a combinational cycle. *)
 
 val set_input : t -> string -> Bitvec.t -> unit
 val set_input_x : t -> string -> unit

@@ -1,7 +1,7 @@
 (* Dynamic power from windowed switching activity.
 
    The estimator folds a Cover.Activity sampler (per-net toggle counts
-   per cycle window, collected by Nl_sim/Nl_wsim) through a cell
+   per cycle window, collected by Nl_sim) through a cell
    coefficient library into per-window energy/power samples, a total
    energy figure and a per-module attribution keyed by the netlist's
    region tables — the same join the area/timing breakdowns use, so all
@@ -9,10 +9,8 @@
 
    Units: capacitance in fF, voltage in V, so one transition costs
    C*V^2 femtojoules; energies are reported in pJ and powers in mW at
-   the configured clock.  The default library reproduces the static
-   estimator (Backend.Power): every coefficient below is documented so
-   the worked example in docs/OBSERVABILITY.md can be checked by
-   hand. *)
+   the configured clock.  Every coefficient below is documented so the
+   worked example in docs/OBSERVABILITY.md can be checked by hand. *)
 
 type lib = {
   lib_name : string;
@@ -21,9 +19,7 @@ type lib = {
   leakage_uw_per_ge : float;  (* static power per gate-equivalent *)
 }
 
-(* Generic gate library: load grows with cell drive/area exactly like
-   Backend.Power.cap_ff, so dynamic-power totals here and static
-   averages there agree on the same activity. *)
+(* Generic gate library: load grows with cell drive/area. *)
 let default_lib =
   {
     lib_name = "generic";

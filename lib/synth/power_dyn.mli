@@ -1,7 +1,7 @@
 (** Dynamic power estimation from windowed switching activity.
 
     Folds a {!Cover.Activity} sampler (per-net toggle counts per cycle
-    window, collected by [Backend.Nl_sim]/[Backend.Nl_wsim]) through a
+    window, collected by [Backend.Nl_sim]) through a
     cell coefficient library into per-window power samples, cumulative
     energy and a per-module attribution aligned with the area/timing
     breakdowns of {!Flow.result}. *)
@@ -15,9 +15,8 @@ type lib = {
   leakage_uw_per_ge : float;
 }
 
-(** Generic gate library; identical coefficients to the static
-    estimator [Backend.Power] ([cap = 1.5 + 2*area] fF, 1.0 fF clock
-    pins, 0.12 uW/GE leakage). *)
+(** Generic gate library: [cap = 1.5 + 2*area] fF, 1.0 fF clock
+    pins, 0.12 uW/GE leakage. *)
 val default_lib : lib
 
 (** Techmap-aware library: uniform LUT4-class load for combinational

@@ -198,27 +198,26 @@ let test_optimize_removes_dead_logic () =
   | Error m -> Alcotest.failf "%a" Backend.Equiv.pp_divergence m
 
 let test_power_estimation () =
-  (* An active counter burns more dynamic power than a held one. *)
+  (* An active counter burns more dynamic energy than a held one. *)
   let nl = Backend.Lower.lower (counter_design ()) in
-  let active = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.set_input_int active "reset" 0;
-  Backend.Nl_sim.run active 200;
-  let idle = Backend.Nl_sim.create nl in
-  Backend.Nl_sim.set_input_int idle "reset" 1;
+  let power reset =
+    let sim = Backend.Nl_sim.create nl in
+    Backend.Nl_sim.enable_power_sampler sim;
+    Backend.Nl_sim.set_input_int sim "reset" reset;
+    Backend.Nl_sim.run sim 200;
+    Synth.Power_dyn.analyze nl (Option.get (Backend.Nl_sim.power_activity sim))
+  in
+  let active = power 0 in
   (* held in reset: the counter stays at zero *)
-  Backend.Nl_sim.run idle 200;
-  let p_active = Backend.Power.estimate nl active in
-  let p_idle = Backend.Power.estimate nl idle in
-  Alcotest.(check bool) "activity measured" true
-    (p_active.Backend.Power.avg_activity > p_idle.Backend.Power.avg_activity);
+  let idle = power 1 in
   Alcotest.(check bool) "active burns more" true
-    (p_active.Backend.Power.total_mw > p_idle.Backend.Power.total_mw);
-  Alcotest.(check bool) "leakage equal" true
-    (abs_float
-       (p_active.Backend.Power.leakage_mw -. p_idle.Backend.Power.leakage_mw)
-    < 1e-12);
+    (active.Synth.Power_dyn.p_total_energy_pj
+    > idle.Synth.Power_dyn.p_total_energy_pj);
+  Alcotest.(check (float 1e-12))
+    "leakage equal" active.Synth.Power_dyn.p_leakage_mw
+    idle.Synth.Power_dyn.p_leakage_mw;
   Alcotest.(check bool) "idle still pays clock" true
-    (p_idle.Backend.Power.clock_mw > 0.0)
+    (idle.Synth.Power_dyn.p_avg_mw > idle.Synth.Power_dyn.p_leakage_mw)
 
 let test_netlist_verilog () =
   let nl = Backend.Lower.lower (counter_design ()) in
@@ -311,10 +310,14 @@ let test_netlist_loop_detection () =
   (cell_of g1).ins.(1) <- g2;
   Alcotest.check_raises "loop raises"
     (Backend.Nl_sim.Combinational_loop { module_name = "ring"; net = g1 })
-    (fun () -> ignore (Backend.Nl_sim.create nl))
+    (fun () -> ignore (Backend.Nl_sim.create nl));
+  Alcotest.check_raises "xprop raises the same loop"
+    (Backend.Nl_sim.Combinational_loop { module_name = "ring"; net = g1 })
+    (fun () -> ignore (Backend.Xprop.create nl))
 
 (* Property: random expression trees lower to netlists that agree with
-   the interpreter on random inputs. *)
+   the interpreter on random inputs, and simulating them agrees with the
+   reference evaluator in every mode and lane count. *)
 let gen_expr_design =
   let open QCheck2.Gen in
   let rec gen_expr env depth =
@@ -358,9 +361,12 @@ let prop_random_exprs =
     (QCheck2.Test.make ~count:60 ~name:"random expr lowering equivalence"
        gen_expr_design (fun design ->
          let nl = Backend.Lower.lower design in
-         match Backend.Equiv.ir_vs_netlist ~cycles:40 design nl with
-         | Ok _ -> true
-         | Error _ -> false))
+         Result.is_ok (Backend.Equiv.ir_vs_netlist ~cycles:40 design nl)
+         && List.for_all
+              (fun (mode, lanes) ->
+                Nl_oracle.lane0_divergence ~mode ~lanes ~cycles:20 ~seed:3 nl
+                = None)
+              Nl_oracle.configs))
 
 let suite =
   [

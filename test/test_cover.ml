@@ -431,7 +431,7 @@ let test_engine_power_threading () =
         Alcotest.failf "%s lost its sampler" (Engine.label eng)
   in
   exercise true (Backend.Nl_engine.create ~label:"nl" nl);
-  exercise true (Backend.Nl_engine.create_word ~label:"word" ~lanes:4 nl);
+  exercise true (Backend.Nl_engine.create ~label:"word" ~lanes:4 nl);
   exercise false (Rtl_engine.create ~label:"rtl" design);
   (* the Faulty wrapper must delegate both operations *)
   exercise true

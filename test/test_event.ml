@@ -149,7 +149,7 @@ let test_checkpoint_netlist () =
 (* Word-parallel: distinct per-lane stimulus, per-lane comparison. *)
 let test_checkpoint_word () =
   let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
-  let e = Backend.Nl_engine.create_word ~lanes:3 nl in
+  let e = Backend.Nl_engine.create ~lanes:3 nl in
   let wstim c =
     for lane = 0 to Engine.lanes e - 1 do
       List.iteri

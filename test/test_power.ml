@@ -129,17 +129,17 @@ let window_shape act =
 let test_lane0_matches_scalar () =
   let nl = lowered () in
   let ssim = Backend.Nl_sim.create nl in
-  let wsim = Backend.Nl_wsim.create ~lanes:5 nl in
+  let wsim = Backend.Nl_sim.create ~lanes:5 nl in
   Backend.Nl_sim.enable_power_sampler ~window:4 ssim;
-  Backend.Nl_wsim.enable_power_sampler ~window:4 wsim;
+  Backend.Nl_sim.enable_power_sampler ~window:4 wsim;
   for c = 0 to 17 do
     (* Same stimulus on the scalar sim and on every word lane (a
        broadcast write drives lane 0 too). *)
     let en = if c mod 3 = 0 then 0 else 1 in
     Backend.Nl_sim.set_input_int ssim "en" en;
-    Backend.Nl_wsim.set_input wsim "en" (Bitvec.of_int ~width:1 en);
+    Backend.Nl_sim.set_input wsim "en" (Bitvec.of_int ~width:1 en);
     Backend.Nl_sim.step ssim;
-    Backend.Nl_wsim.step wsim
+    Backend.Nl_sim.step wsim
   done;
   let sact =
     match Backend.Nl_sim.power_activity ssim with
@@ -147,7 +147,7 @@ let test_lane0_matches_scalar () =
     | None -> Alcotest.fail "scalar sampler missing"
   in
   let wact =
-    match Backend.Nl_wsim.lane_activity wsim 0 with
+    match Backend.Nl_sim.lane_activity wsim 0 with
     | Some a -> a
     | None -> Alcotest.fail "word lane-0 sampler missing"
   in

@@ -1,14 +1,14 @@
-(* Word-parallel netlist simulation: lane-0 identity with the scalar
-   simulator (both scheduling modes, several seeds), per-lane stimulus
-   through the packed/transpose API, per-lane stuck-at faults with
-   packed divergence detection, the lane-parallel fault campaign, the
-   Engine word backend with lane-pinned fault injection, and per-lane
-   toggle coverage. *)
+(* Lane-parallel netlist simulation: lane-0 identity with the
+   reference evaluator (both scheduling modes, one and several words of
+   lanes, several seeds), per-lane stimulus through the packed/transpose
+   API, per-lane stuck-at faults with packed divergence detection, the
+   lane-parallel fault campaign, the multi-lane Engine adapter with
+   lane-pinned fault injection, and per-lane toggle coverage. *)
 
 open Hdl
 open Builder.Dsl
 module N = Backend.Netlist
-module Ws = Backend.Nl_wsim
+module Ws = Backend.Nl_sim
 
 let alu_design () =
   let b = Builder.create "mini_alu" in
@@ -40,58 +40,21 @@ let counter_design () =
     ];
   Builder.finish b
 
-let random_bv rng width = Bitvec.init width (fun _ -> Random.State.bool rng)
-
-(* Drive identical random stimulus into the scalar simulator (both
-   modes) and the word simulator (both modes) and require identical
-   outputs every cycle and identical toggle accounting at the end —
-   lane 0 of the word simulator must be indistinguishable from the
-   scalar reference. *)
-let check_lane0_identity ~lanes ~cycles ~seed nl =
-  let s_ev = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven nl in
-  let s_fl = Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval nl in
-  let w_ev = Ws.create ~mode:Ws.Event_driven ~lanes nl in
-  let w_fl = Ws.create ~mode:Ws.Full_eval ~lanes nl in
-  let ins = List.map (fun (n, nets) -> (n, Array.length nets)) (N.inputs nl) in
-  let outs = List.map fst (N.outputs nl) in
-  let rng = Random.State.make [| seed |] in
-  for cycle = 1 to cycles do
-    List.iter
-      (fun (name, width) ->
-        let bv = random_bv rng width in
-        Backend.Nl_sim.set_input s_ev name bv;
-        Backend.Nl_sim.set_input s_fl name bv;
-        Ws.set_input w_ev name bv;
-        Ws.set_input w_fl name bv)
-      ins;
-    Backend.Nl_sim.step s_ev;
-    Backend.Nl_sim.step s_fl;
-    Ws.step w_ev;
-    Ws.step w_fl;
-    List.iter
-      (fun port ->
-        let expect = Backend.Nl_sim.get_output s_ev port in
-        List.iter
-          (fun (who, got) ->
-            if not (Bitvec.equal expect got) then
-              Alcotest.failf
-                "seed %#x lanes %d cycle %d port %s: %s=%a, scalar-event=%a"
-                seed lanes cycle port who Bitvec.pp got Bitvec.pp expect)
-          [
-            ("scalar-full", Backend.Nl_sim.get_output s_fl port);
-            ("word-event", Ws.get_output w_ev port);
-            ("word-full", Ws.get_output w_fl port);
-          ])
-      outs
-  done;
-  Alcotest.(check int)
-    (Printf.sprintf "toggle totals agree (event, seed %#x)" seed)
-    (Backend.Nl_sim.toggle_total s_ev)
-    (Ws.toggle_total w_ev);
-  Alcotest.(check int)
-    (Printf.sprintf "toggle totals agree (full, seed %#x)" seed)
-    (Backend.Nl_sim.toggle_total s_fl)
-    (Ws.toggle_total w_fl)
+(* Lane 0 of the simulator must be indistinguishable from the reference
+   evaluator under identical random stimulus, for every (mode, lanes)
+   configuration: same outputs every cycle and the same per-net toggle
+   counts. *)
+let check_lane0_identity ~configs ~cycles ~seed nl =
+  List.iter
+    (fun (mode, lanes) ->
+      match Nl_oracle.lane0_divergence ~mode ~lanes ~cycles ~seed nl with
+      | None -> ()
+      | Some m ->
+          Alcotest.failf "%s, seed %#x, %d lanes, %s mode: %s" (N.name nl) seed
+            lanes
+            (if mode = Ws.Event_driven then "event" else "full")
+            m)
+    configs
 
 let test_lane0_identity_seeds () =
   let designs =
@@ -100,16 +63,18 @@ let test_lane0_identity_seeds () =
       Backend.Lower.lower (counter_design ());
     ]
   in
-  (* Lane counts straddle the word boundaries: a single lane, a partial
-     word, and a multi-word configuration. *)
   List.iter
-    (fun (seed, lanes) ->
-      List.iter (check_lane0_identity ~lanes ~cycles:150 ~seed) designs)
-    [ (0xA1, 1); (0xB2, 63); (0xC3, 70) ]
+    (fun seed ->
+      List.iter
+        (check_lane0_identity ~configs:Nl_oracle.configs ~cycles:150 ~seed)
+        designs)
+    [ 0xA1; 0xB2; 0xC3 ]
 
 let test_lane0_identity_expocu () =
   let nl = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
-  check_lane0_identity ~lanes:64 ~cycles:150 ~seed:0xE5C1 nl
+  check_lane0_identity
+    ~configs:[ (Ws.Event_driven, 64); (Ws.Full_eval, 64) ]
+    ~cycles:150 ~seed:0xE5C1 nl
 
 let test_wsim_loop_detection () =
   let nl = N.create ~fold:false ~name:"ring" () in
@@ -143,15 +108,15 @@ let test_per_lane_stimulus () =
     |]
   in
   let lanes = Array.length cases in
-  let scalar = Backend.Nl_sim.create nl in
+  let oracle = Nl_oracle.create nl in
   let expected =
     Array.map
       (fun (op, a, x) ->
-        Backend.Nl_sim.set_input_int scalar "op" op;
-        Backend.Nl_sim.set_input_int scalar "a" a;
-        Backend.Nl_sim.set_input_int scalar "x" x;
-        Backend.Nl_sim.settle scalar;
-        Backend.Nl_sim.get_output scalar "y")
+        Nl_oracle.set_input oracle "op" (Bitvec.of_int ~width:2 op);
+        Nl_oracle.set_input oracle "a" (Bitvec.of_int ~width:8 a);
+        Nl_oracle.set_input oracle "x" (Bitvec.of_int ~width:8 x);
+        Nl_oracle.settle oracle;
+        Nl_oracle.get_output oracle "y")
       cases
   in
   (* Lane at a time. *)
@@ -166,7 +131,7 @@ let test_per_lane_stimulus () =
   Array.iteri
     (fun l _ ->
       Alcotest.(check bool)
-        (Printf.sprintf "lane %d matches scalar" l)
+        (Printf.sprintf "lane %d matches the oracle" l)
         true
         (Bitvec.equal expected.(l) (Ws.get_output ~lane:l w "y")))
     cases;
@@ -184,7 +149,7 @@ let test_per_lane_stimulus () =
   Array.iteri
     (fun l _ ->
       Alcotest.(check bool)
-        (Printf.sprintf "packed lane %d matches scalar" l)
+        (Printf.sprintf "packed lane %d matches the oracle" l)
         true
         (Bitvec.equal expected.(l) per_lane_y.(l)))
     cases
@@ -260,13 +225,13 @@ let test_fault_campaign () =
 
 let test_word_engine () =
   let nl = Backend.Lower.lower (counter_design ()) in
-  let e = Backend.Nl_engine.create_word ~lanes:8 nl in
-  Alcotest.(check string) "word kind" "netlist-word" (Engine.kind e);
+  let e = Backend.Nl_engine.create ~lanes:8 nl in
+  Alcotest.(check string) "kind by mode" "netlist-event" (Engine.kind e);
   Alcotest.(check int) "word lanes" 8 (Engine.lanes e);
   let s = Backend.Nl_engine.create nl in
-  Alcotest.(check int) "scalar lanes" 1 (Engine.lanes s);
-  Alcotest.check_raises "scalar rejects lane 1"
-    (Invalid_argument "Nl_engine: scalar backend has a single lane")
+  Alcotest.(check int) "one lane by default" 1 (Engine.lanes s);
+  Alcotest.check_raises "single lane rejects lane 1"
+    (Invalid_argument "Nl_sim: lane 1 out of range (1 lanes)")
     (fun () -> Engine.set_input_lane s ~lane:1 "reset" (Bitvec.of_bool true));
   Engine.set_input_int e "reset" 1;
   Engine.step e;
