@@ -34,30 +34,36 @@ let () =
    including the sign bit (only bitwise ops ever touch lane words). *)
 let lane_bits = Sys.int_size
 
+(* Depth-first, over net-indexed arrays: [driver.(n)] is the index into
+   [comb] of the combinational cell driving net [n] (-1 for inputs and
+   flip-flop outputs), [state.(n)] is 0 unvisited, 1 on the stack, 2
+   placed. *)
 let topo_order nl =
-  let cells = Netlist.cells nl in
-  let comb = List.filter (fun c -> c.Netlist.kind <> Cell.Dff) cells in
-  let state = Hashtbl.create 256 in
-  let order = ref [] in
+  let comb =
+    Array.of_list
+      (List.filter (fun c -> c.Netlist.kind <> Cell.Dff) (Netlist.cells nl))
+  in
+  let n_nets = Netlist.net_count nl in
+  let driver = Array.make n_nets (-1) and state = Array.make n_nets 0 in
+  Array.iteri (fun i (c : Netlist.cell) -> driver.(c.out) <- i) comb;
+  let order = Array.copy comb and placed = ref 0 in
   let rec visit (c : Netlist.cell) =
-    match Hashtbl.find_opt state c.out with
-    | Some 2 -> ()
-    | Some 1 ->
+    match state.(c.out) with
+    | 2 -> ()
+    | 1 ->
         raise
           (Combinational_loop { module_name = Netlist.name nl; net = c.out })
     | _ ->
-        Hashtbl.replace state c.out 1;
+        state.(c.out) <- 1;
         Array.iter
-          (fun n ->
-            match Netlist.driver nl n with
-            | Some d when d.Netlist.kind <> Cell.Dff -> visit d
-            | Some _ | None -> ())
+          (fun n -> if driver.(n) >= 0 then visit comb.(driver.(n)))
           c.ins;
-        Hashtbl.replace state c.out 2;
-        order := c :: !order
+        state.(c.out) <- 2;
+        order.(!placed) <- c;
+        incr placed
   in
-  List.iter visit comb;
-  Array.of_list (List.rev !order)
+  Array.iter visit comb;
+  order
 
 (* Static scheduling structure: topological order, levels and fanout
    lists, built once per netlist. *)
@@ -143,6 +149,57 @@ module Sched = struct
       labels
 end
 
+(* The compiled program: [op_slots] ints per combinational cell, in
+   [Sched] order — opcode, output net, up to three input nets (unused
+   slots 0).  Built once per simulator and never mutated; evaluation
+   reads it and writes only [values]. *)
+let op_slots = 5
+
+let opcode : Cell.kind -> int = function
+  | Const0 -> 0
+  | Const1 -> 1
+  | Buf -> 2
+  | Not -> 3
+  | And2 -> 4
+  | Or2 -> 5
+  | Xor2 -> 6
+  | Nand2 -> 7
+  | Nor2 -> 8
+  | Mux2 -> 9
+  | Dff -> invalid_arg "Nl_sim.opcode: flip-flops are not compiled"
+
+let compile order =
+  let prog = Array.make (Array.length order * op_slots) 0 in
+  Array.iteri
+    (fun ci (c : Netlist.cell) ->
+      let pc = ci * op_slots in
+      prog.(pc) <- opcode c.kind;
+      prog.(pc + 1) <- c.out;
+      Array.iteri (fun k n -> prog.(pc + 2 + k) <- n) c.ins)
+    order;
+  prog
+
+(* Word [w] of input [k] of the instruction at [pc]. *)
+let[@inline] arg (v : int array) (prog : int array) nw pc k w =
+  Array.unsafe_get v ((Array.unsafe_get prog (pc + 2 + k) * nw) + w)
+
+(* One word of one instruction, all its lanes at once; [mask] is the
+   word's active-lane mask.  The one evaluator of both modes. *)
+let[@inline] eval_op v prog nw mask pc w =
+  match Array.unsafe_get prog pc with
+  | 0 -> 0
+  | 1 -> mask
+  | 2 -> arg v prog nw pc 0 w
+  | 3 -> lnot (arg v prog nw pc 0 w) land mask
+  | 4 -> arg v prog nw pc 0 w land arg v prog nw pc 1 w
+  | 5 -> arg v prog nw pc 0 w lor arg v prog nw pc 1 w
+  | 6 -> arg v prog nw pc 0 w lxor arg v prog nw pc 1 w
+  | 7 -> lnot (arg v prog nw pc 0 w land arg v prog nw pc 1 w) land mask
+  | 8 -> lnot (arg v prog nw pc 0 w lor arg v prog nw pc 1 w) land mask
+  | _ ->
+      let s = arg v prog nw pc 0 w in
+      arg v prog nw pc 1 w land s lor (arg v prog nw pc 2 w land lnot s)
+
 type t = {
   nl : Netlist.t;
   mode : mode;
@@ -150,6 +207,7 @@ type t = {
   nw : int;  (* words per net *)
   word_mask : int array;  (* per word: active-lane bits *)
   values : int array;  (* net [n], word [w] at [n*nw + w] *)
+  prog : int array;  (* compiled [order], see [compile] *)
   order : Netlist.cell array;  (* combinational cells, topologically sorted *)
   dffs : Netlist.cell array;
   in_nets : (string, Netlist.net array) Hashtbl.t;
@@ -157,26 +215,29 @@ type t = {
   (* Event-driven machinery.  [level.(ci)] is the logic depth of cell
      [order.(ci)]; a cell's level is strictly greater than the level of
      any combinational cell driving one of its inputs, so one ascending
-     sweep over [buckets] settles the dirty region.  A cell is dirty
-     when any lane of any input moved. *)
+     sweep over the levels settles the dirty region.  A cell is dirty
+     when any lane of any input moved.  Dirty cells of level [l] sit in
+     [bucket] from [bucket_start.(l)], [bucket_fill.(l)] of them; a
+     level's slice holds all its cells, so it cannot overflow. *)
   level : int array;
   fanout : int array array;  (* net -> indices into [order] reading it *)
-  buckets : int list array;  (* per level: pending cell indices *)
+  bucket : int array;
+  bucket_start : int array;
+  bucket_fill : int array;
   pending : bool array;  (* per index into [order]: already scheduled *)
   mutable need_full : bool;  (* next settle evaluates everything *)
-  (* Per-cycle toggle accounting: [toggles] counts lane-0 transitions
-     per net; the full change masks feed per-lane coverage and activity
-     when enabled.  In event mode the epoch (clock edge + post-edge
-     settle) records the words each touched net had when it opened, at
-     its first change — identical to the full snapshot compare of
-     [Full_eval] because inputs never move during the epoch. *)
+  (* Per-cycle toggle accounting, done where a word is written inside
+     the epoch (clock edge + post-edge settle): [toggles] counts lane-0
+     transitions per net; the change masks feed per-lane coverage and
+     activity when enabled.  Inputs never move during the epoch and
+     every other net is written at most once in it (its flip-flop
+     commit, or its cell's single post-edge evaluation), so the
+     write-time change is exactly the pre/post-edge difference.
+     [n_touched] counts the nets that moved this epoch. *)
   toggles : int array;
-  epoch_pre : int array;
-  epoch_seen : bool array;
-  mutable epoch_touched : int list;
   mutable in_epoch : bool;
+  mutable n_touched : int;
   dff_buf : int array;  (* dff sampling buffer, [dffs * nw] *)
-  snapshot : int array;  (* Full_eval pre-edge copy of [values] *)
   mutable n_cycles : int;
   mutable n_evals : int;
   mutable n_skipped : int;
@@ -200,15 +261,11 @@ type t = {
   (* Causal event log plumbing (see Obs.Event), allocated lazily by
      [enable_events]: [ev_last.(n)] is the seq of net [n]'s latest
      change event, so a cell evaluation that moves its output is caused
-     by the latest change among its input nets.  [ev_ctx]/[ev_ctx_stim]
-     classify [drive_word] writes: stimulus by default, flip-flop commit
-     with a pre-sampled cause during the clock edge.  Off by default:
-     the hot paths pay one [ev_on] branch per changed net. *)
+     by the latest change among its input nets.  Off by default: the hot
+     paths pay one [ev_on] branch per changed net. *)
   mutable ev_on : bool;
   mutable ev_last : int array;
   mutable ev_labels : string array;
-  mutable ev_ctx : int;
-  mutable ev_ctx_stim : bool;
 }
 
 let create ?(mode = Event_driven) ?(lanes = 1) nl =
@@ -222,6 +279,13 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
         let k = min lane_bits (lanes - (w * lane_bits)) in
         if k = lane_bits then -1 else (1 lsl k) - 1)
   in
+  (* Level [l]'s slice starts after every cell of a lower level. *)
+  let per_level = Array.make n_levels 0 in
+  Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) level;
+  let bucket_start = Array.make n_levels 0 in
+  for l = 1 to n_levels - 1 do
+    bucket_start.(l) <- bucket_start.(l - 1) + per_level.(l - 1)
+  done;
   let n_nets = Netlist.net_count nl in
   {
     nl;
@@ -230,22 +294,22 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
     nw;
     word_mask;
     values = Array.make (n_nets * nw) 0;
+    prog = compile order;
     order;
     dffs;
     in_nets;
     out_nets;
     level;
     fanout;
-    buckets = Array.make n_levels [];
+    bucket = Array.make (Array.length order) 0;
+    bucket_start;
+    bucket_fill = Array.make n_levels 0;
     pending = Array.make (Array.length order) false;
     need_full = true;
     toggles = Array.make n_nets 0;
-    epoch_pre = Array.make (n_nets * nw) 0;
-    epoch_seen = Array.make n_nets false;
-    epoch_touched = [];
     in_epoch = false;
+    n_touched = 0;
     dff_buf = Array.make (Array.length dffs * nw) 0;
-    snapshot = Array.make (n_nets * nw) 0;
     n_cycles = 0;
     n_evals = 0;
     n_skipped = 0;
@@ -261,8 +325,6 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
     ev_on = false;
     ev_last = [||];
     ev_labels = [||];
-    ev_ctx = Obs.Event.no_cause;
-    ev_ctx_stim = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -279,80 +341,76 @@ let enable_events t =
 
 let emitting t = t.ev_on && Obs.Event.enabled ()
 
-(* A cell evaluation is caused by the latest change among its inputs. *)
-let ev_cell_cause t (c : Netlist.cell) =
-  let best = ref Obs.Event.no_cause in
-  Array.iter
-    (fun n -> if t.ev_last.(n) > !best then best := t.ev_last.(n))
-    c.ins;
-  !best
-
 (* A change event on net [n], valued with its lane-0 bit. *)
 let ev_net t n kind cause =
   let value = t.values.(n * t.nw) land 1 in
   t.ev_last.(n) <-
     Obs.Event.emit ~cycle:t.n_cycles ~value ~cause kind t.ev_labels.(n)
 
+(* Cell [ci] moved its output: a change caused by the latest change
+   among its inputs. *)
+let ev_cell t ci =
+  let c = t.order.(ci) in
+  let best = ref Obs.Event.no_cause in
+  Array.iter
+    (fun n -> if t.ev_last.(n) > !best then best := t.ev_last.(n))
+    c.Netlist.ins;
+  ev_net t c.out Obs.Event.Net_change !best
+
 let schedule t ci =
   if not t.pending.(ci) then begin
     t.pending.(ci) <- true;
     let l = t.level.(ci) in
-    t.buckets.(l) <- ci :: t.buckets.(l)
+    let f = t.bucket_fill.(l) in
+    t.bucket.(t.bucket_start.(l) + f) <- ci;
+    t.bucket_fill.(l) <- f + 1
   end
 
-let record_epoch t n =
-  if t.in_epoch && not t.epoch_seen.(n) then begin
-    t.epoch_seen.(n) <- true;
-    let base = n * t.nw in
-    for i = base to base + t.nw - 1 do
-      t.epoch_pre.(i) <- t.values.(i)
-    done;
-    t.epoch_touched <- n :: t.epoch_touched
-  end
+(* Schedule the combinational readers of net [n]. *)
+let wake t n =
+  let readers = t.fanout.(n) in
+  for k = 0 to Array.length readers - 1 do
+    schedule t (Array.unsafe_get readers k)
+  done
 
 let apply_fault t idx x = x land lnot t.f_mask.(idx) lor t.f_val.(idx)
 
-let[@inline] input v (ins : int array) i nw w =
-  Array.unsafe_get v ((Array.unsafe_get ins i * nw) + w)
+(* Toggle accounting for word [w] of net [n], written inside the epoch
+   with change mask [ch] to value [now]: the lane-0 counter always,
+   per-lane coverage and activity sampling when enabled. *)
+let account t n w ch now =
+  if w = 0 && ch land 1 <> 0 then t.toggles.(n) <- t.toggles.(n) + 1;
+  if Array.length t.cover > 0 || Array.length t.activity > 0 then
+    for b = 0 to min lane_bits (t.lanes - (w * lane_bits)) - 1 do
+      if (ch lsr b) land 1 = 1 then begin
+        let lane = (w * lane_bits) + b in
+        if Array.length t.cover > 0 then
+          Cover.Toggle.record t.cover.(lane) n
+            ~rising:((now lsr b) land 1 = 1);
+        if Array.length t.activity > 0 then
+          Cover.Activity.record t.activity.(lane) n
+      end
+    done
 
-(* One word of one gate, all its lanes at once; [mask] is the word's
-   active-lane mask. *)
-let eval_word v nw mask (c : Netlist.cell) w =
-  let ins = c.ins in
-  match c.kind with
-  | Cell.Const0 -> 0
-  | Const1 -> mask
-  | Buf -> input v ins 0 nw w
-  | Not -> lnot (input v ins 0 nw w) land mask
-  | And2 -> input v ins 0 nw w land input v ins 1 nw w
-  | Or2 -> input v ins 0 nw w lor input v ins 1 nw w
-  | Xor2 -> input v ins 0 nw w lxor input v ins 1 nw w
-  | Nand2 -> lnot (input v ins 0 nw w land input v ins 1 nw w) land mask
-  | Nor2 -> lnot (input v ins 0 nw w lor input v ins 1 nw w) land mask
-  | Mux2 ->
-      let s = input v ins 0 nw w in
-      input v ins 1 nw w land s lor (input v ins 2 nw w land lnot s)
-  | Dff -> Array.unsafe_get v ((c.out * nw) + w)
-
-(* Evaluate a cell, writing only moved words; true if any lane changed.
-   The epoch snapshot is taken before the first write to the net. *)
-let eval_cell_changed t (c : Netlist.cell) =
-  let v = t.values and nw = t.nw in
-  let base = c.out * nw in
+(* Evaluate instruction [ci], writing only moved words (accounted
+   inside the epoch); true if any lane changed. *)
+let[@inline] eval_cell t ci =
+  let v = t.values and nw = t.nw and prog = t.prog in
+  let pc = ci * op_slots in
+  let n = Array.unsafe_get prog (pc + 1) in
+  let base = n * nw in
   let changed = ref false in
   for w = 0 to nw - 1 do
-    let x = eval_word v nw t.word_mask.(w) c w in
+    let x = eval_op v prog nw (Array.unsafe_get t.word_mask w) pc w in
     let x = if t.has_faults then apply_fault t (base + w) x else x in
-    if v.(base + w) <> x then begin
-      if not !changed then begin
-        record_epoch t c.out;
-        changed := true
-      end;
-      v.(base + w) <- x
+    let old = Array.unsafe_get v (base + w) in
+    if old <> x then begin
+      Array.unsafe_set v (base + w) x;
+      if t.in_epoch then account t n w (old lxor x) x;
+      changed := true
     end
   done;
-  if !changed && emitting t then
-    ev_net t c.out Obs.Event.Net_change (ev_cell_cause t c);
+  if !changed && t.in_epoch then t.n_touched <- t.n_touched + 1;
   !changed
 
 let count_full_settle t =
@@ -365,52 +423,49 @@ let count_full_settle t =
     Array.iteri (fun ci c -> t.eval_counts.(ci) <- c + 1) t.eval_counts
 
 let settle_full t =
-  let v = t.values and nw = t.nw and order = t.order in
-  let faulty = t.has_faults in
-  for ci = 0 to Array.length order - 1 do
-    let c = Array.unsafe_get order ci in
-    let base = c.out * nw in
-    for w = 0 to nw - 1 do
-      let x = eval_word v nw (Array.unsafe_get t.word_mask w) c w in
-      v.(base + w) <- (if faulty then apply_fault t (base + w) x else x)
-    done
+  for ci = 0 to Array.length t.order - 1 do
+    ignore (eval_cell t ci)
   done;
   count_full_settle t
 
 (* One settle in event mode: either a forced full pass (first settle, in
-   topological order, epoch recording preserved) or an ascending-level
-   sweep of the scheduled cells.  A cell's fanout lives at strictly
-   higher levels, so each level's bucket is complete when reached. *)
+   program order) or an ascending-level sweep of the scheduled cells,
+   each level's slice drained newest first.  A cell's fanout lives at
+   strictly higher levels, so each level's slice is complete when
+   reached. *)
 let settle_event t =
   if t.need_full then begin
     t.need_full <- false;
-    Array.iter (fun c -> ignore (eval_cell_changed t c)) t.order;
+    for ci = 0 to Array.length t.order - 1 do
+      if eval_cell t ci && emitting t then ev_cell t ci
+    done;
     count_full_settle t;
     Perf.incr ctr_full;
     (* Anything scheduled beforehand was just evaluated. *)
     Array.iteri
-      (fun l b ->
-        List.iter (fun ci -> t.pending.(ci) <- false) b;
-        t.buckets.(l) <- [])
-      t.buckets
+      (fun l f ->
+        for k = t.bucket_start.(l) to t.bucket_start.(l) + f - 1 do
+          t.pending.(t.bucket.(k)) <- false
+        done;
+        t.bucket_fill.(l) <- 0)
+      t.bucket_fill
   end
   else begin
     let evals = ref 0 in
-    for l = 0 to Array.length t.buckets - 1 do
-      let rec drain () =
-        match t.buckets.(l) with
-        | [] -> ()
-        | ci :: rest ->
-            t.buckets.(l) <- rest;
-            t.pending.(ci) <- false;
-            let c = t.order.(ci) in
-            incr evals;
-            if t.profiling then t.eval_counts.(ci) <- t.eval_counts.(ci) + 1;
-            if eval_cell_changed t c then
-              Array.iter (fun cj -> schedule t cj) t.fanout.(c.Netlist.out);
-            drain ()
-      in
-      drain ()
+    for l = 0 to Array.length t.bucket_fill - 1 do
+      let start = t.bucket_start.(l) in
+      while t.bucket_fill.(l) > 0 do
+        let f = t.bucket_fill.(l) - 1 in
+        t.bucket_fill.(l) <- f;
+        let ci = t.bucket.(start + f) in
+        t.pending.(ci) <- false;
+        incr evals;
+        if t.profiling then t.eval_counts.(ci) <- t.eval_counts.(ci) + 1;
+        if eval_cell t ci then begin
+          if emitting t then ev_cell t ci;
+          wake t t.prog.((ci * op_slots) + 1)
+        end
+      done
     done;
     t.n_evals <- t.n_evals + !evals;
     Perf.incr ~by:!evals ctr_evals;
@@ -434,28 +489,30 @@ let settle t =
 (* ------------------------------------------------------------------ *)
 (* Stimulus                                                            *)
 
-(* Write one word of a net; wakes combinational readers in event mode.
-   Callers are stimulus ([ev_ctx_stim], no cause) and the flip-flop
-   commit of [step_event] ([ev_ctx] = the D input's latest change). *)
+(* Write one word of a net; true if it moved.  A moved word is
+   accounted inside the epoch and wakes the net's combinational readers
+   in event mode.  Callers are stimulus ([stim_word]) and the flip-flop
+   commit. *)
 let drive_word t n w x =
   let idx = (n * t.nw) + w in
   let x = if t.has_faults then apply_fault t idx x else x in
-  if t.values.(idx) <> x then begin
-    record_epoch t n;
-    t.values.(idx) <- x;
-    (match t.mode with
-    | Event_driven -> Array.iter (fun ci -> schedule t ci) t.fanout.(n)
-    | Full_eval -> ());
-    if emitting t then
-      ev_net t n
-        (if t.ev_ctx_stim then Obs.Event.Stimulus else Obs.Event.Net_change)
-        t.ev_ctx
-  end
+  let old = t.values.(idx) in
+  old <> x
+  && begin
+       t.values.(idx) <- x;
+       if t.in_epoch then account t n w (old lxor x) x;
+       (match t.mode with Event_driven -> wake t n | Full_eval -> ());
+       true
+     end
+
+let stim_word t n w x =
+  if drive_word t n w x && emitting t then
+    ev_net t n Obs.Event.Stimulus Obs.Event.no_cause
 
 (* Every lane of net [n] to [b]. *)
 let drive_bit t n b =
   for w = 0 to t.nw - 1 do
-    drive_word t n w (if b then t.word_mask.(w) else 0)
+    stim_word t n w (if b then t.word_mask.(w) else 0)
   done
 
 let port_nets tbl name =
@@ -505,7 +562,7 @@ let set_input_lane t ~lane name bv =
     (fun i n ->
       let cur = t.values.((n * t.nw) + w) in
       let x = if Bitvec.get bv i then cur lor bit else cur land lnot bit in
-      drive_word t n w x)
+      stim_word t n w x)
     nets
 
 (* Per-lane stimulus for a whole port at once: [cols.(i)] holds bit [i]
@@ -531,7 +588,7 @@ let set_input_packed t name cols =
         for b = min t.lanes (lo + lane_bits) - 1 downto lo do
           x := (!x lsl 1) lor Bool.to_int (Bitvec.get col b)
         done;
-        drive_word t n w !x
+        stim_word t n w !x
       done)
     nets
 
@@ -598,31 +655,6 @@ let probes t =
 (* ------------------------------------------------------------------ *)
 (* Clock cycle                                                         *)
 
-(* Per-cycle toggle accounting for net [n] against its pre-edge words
-   [pre] (indexed like [values]): the lane-0 counter always, per-lane
-   coverage and activity sampling when enabled. *)
-let account_toggles t n pre =
-  let nw = t.nw in
-  let base = n * nw in
-  if (Array.unsafe_get pre base lxor t.values.(base)) land 1 <> 0 then
-    t.toggles.(n) <- t.toggles.(n) + 1;
-  if Array.length t.cover > 0 || Array.length t.activity > 0 then
-    for w = 0 to nw - 1 do
-      let now = t.values.(base + w) in
-      let ch = pre.(base + w) lxor now in
-      if ch <> 0 then
-        for b = 0 to min lane_bits (t.lanes - (w * lane_bits)) - 1 do
-          if (ch lsr b) land 1 = 1 then begin
-            let lane = (w * lane_bits) + b in
-            if Array.length t.cover > 0 then
-              Cover.Toggle.record t.cover.(lane) n
-                ~rising:((now lsr b) land 1 = 1);
-            if Array.length t.activity > 0 then
-              Cover.Activity.record t.activity.(lane) n
-          end
-        done
-    done
-
 let sample_dffs t =
   let nw = t.nw and v = t.values in
   Array.iteri
@@ -635,79 +667,50 @@ let sample_dffs t =
   t.n_evals <- t.n_evals + Array.length t.dffs;
   Perf.incr ~by:(Array.length t.dffs) ctr_evals
 
-(* Advance every lane's activity window once per clock cycle. *)
-let end_activity_cycle t = Array.iter Cover.Activity.end_cycle t.activity
-
-let step_full t =
-  settle_full t;
-  (* Toggle accounting once per cycle, against the settled pre-edge
-     values; a per-settle count would double-book glitch-free nets. *)
-  Array.blit t.values 0 t.snapshot 0 (Array.length t.values);
-  (* Sample every d, then commit: flip-flops see the pre-edge values. *)
-  sample_dffs t;
-  let nw = t.nw and faulty = t.has_faults in
-  Array.iteri
-    (fun i (c : Netlist.cell) ->
-      let base = c.out * nw in
-      for w = 0 to nw - 1 do
-        let x = t.dff_buf.((i * nw) + w) in
-        t.values.(base + w) <-
-          (if faulty then apply_fault t (base + w) x else x)
-      done)
-    t.dffs;
-  t.n_cycles <- t.n_cycles + 1;
-  settle_full t;
-  for n = 0 to Array.length t.toggles - 1 do
-    account_toggles t n t.snapshot
-  done;
-  end_activity_cycle t
-
-let step_event t =
-  (* Flush pending input changes first; the toggle epoch then covers
-     exactly the clock edge and the post-edge settle, like the snapshot
-     window of [Full_eval]. *)
-  settle_event t;
-  t.in_epoch <- true;
-  sample_dffs t;
-  (* Causes sampled pre-commit: a flip-flop output change is caused by
-     the change that last moved its D input, not by commits of other
-     flip-flops this edge. *)
-  let emit = emitting t in
+(* Commit the sampled values.  With [emit], a moved flip-flop output is
+   caused by the change that last moved its D input, sampled before the
+   first commit, not by commits of other flip-flops this edge. *)
+let commit_dffs t ~emit =
+  let nw = t.nw in
   let causes =
     if emit then
       Array.map (fun (c : Netlist.cell) -> t.ev_last.(c.ins.(0))) t.dffs
     else [||]
   in
-  t.ev_ctx_stim <- not emit;
-  let nw = t.nw in
   Array.iteri
     (fun i (c : Netlist.cell) ->
-      if emit then t.ev_ctx <- causes.(i);
+      let moved = ref false in
       for w = 0 to nw - 1 do
-        drive_word t c.out w t.dff_buf.((i * nw) + w)
-      done)
-    t.dffs;
-  t.ev_ctx_stim <- true;
-  t.ev_ctx <- Obs.Event.no_cause;
+        if drive_word t c.out w t.dff_buf.((i * nw) + w) then begin
+          moved := true;
+          if emit then ev_net t c.out Obs.Event.Net_change causes.(i)
+        end
+      done;
+      if !moved then t.n_touched <- t.n_touched + 1)
+    t.dffs
+
+(* Advance every lane's activity window once per clock cycle. *)
+let end_activity_cycle t = Array.iter Cover.Activity.end_cycle t.activity
+
+(* Flush pending input changes first; the toggle epoch then covers
+   exactly the clock edge and the post-edge settle.  [Full_eval] logs
+   no flip-flop commits and no coverage epochs. *)
+let step_inner t =
+  settle_inner t;
+  sample_dffs t;
+  let emit = t.mode = Event_driven && emitting t in
+  t.in_epoch <- true;
+  t.n_touched <- 0;
+  commit_dffs t ~emit;
   t.n_cycles <- t.n_cycles + 1;
-  settle_event t;
-  if Obs.Hist.enabled () then
-    Obs.Hist.observe_int hist_touched (List.length t.epoch_touched);
-  List.iter
-    (fun n ->
-      account_toggles t n t.epoch_pre;
-      t.epoch_seen.(n) <- false)
-    t.epoch_touched;
-  t.epoch_touched <- [];
+  settle_inner t;
   t.in_epoch <- false;
+  Obs.Hist.observe_int hist_touched t.n_touched;
   end_activity_cycle t;
-  if Array.length t.cover > 0 && emitting t then
+  if emit && Array.length t.cover > 0 then
     ignore
       (Obs.Event.emit ~cycle:t.n_cycles Obs.Event.Cover_epoch
          (Netlist.name t.nl))
-
-let step_inner t =
-  match t.mode with Full_eval -> step_full t | Event_driven -> step_event t
 
 let step t =
   if Obs.Span.enabled () then
@@ -749,9 +752,7 @@ let inject_stuck_at t ~lane ~net ~value =
   let x = apply_fault t idx t.values.(idx) in
   if t.values.(idx) <> x then begin
     t.values.(idx) <- x;
-    match t.mode with
-    | Event_driven -> Array.iter (fun ci -> schedule t ci) t.fanout.(net)
-    | Full_eval -> ()
+    match t.mode with Event_driven -> wake t net | Full_eval -> ()
   end;
   if emitting t then
     t.ev_last.(net) <-
@@ -830,7 +831,8 @@ let cell_activity t =
 type checkpoint = {
   ck_values : int array;
   ck_pending : bool array;
-  ck_buckets : int list array;
+  ck_bucket : int array;
+  ck_fill : int array;
   ck_need_full : bool;
   ck_cycles : int;
 }
@@ -843,7 +845,8 @@ let checkpoint t =
   {
     ck_values = Array.copy t.values;
     ck_pending = Array.copy t.pending;
-    ck_buckets = Array.copy t.buckets;
+    ck_bucket = Array.copy t.bucket;
+    ck_fill = Array.copy t.bucket_fill;
     ck_need_full = t.need_full;
     ck_cycles = t.n_cycles;
   }
@@ -851,14 +854,10 @@ let checkpoint t =
 let restore t ck =
   Array.blit ck.ck_values 0 t.values 0 (Array.length t.values);
   Array.blit ck.ck_pending 0 t.pending 0 (Array.length t.pending);
-  Array.blit ck.ck_buckets 0 t.buckets 0 (Array.length t.buckets);
+  Array.blit ck.ck_bucket 0 t.bucket 0 (Array.length t.bucket);
+  Array.blit ck.ck_fill 0 t.bucket_fill 0 (Array.length t.bucket_fill);
   t.need_full <- ck.ck_need_full;
   t.n_cycles <- ck.ck_cycles;
-  (* Transient epoch state can only be non-empty mid-step; clear it so
-     a restore from inside an observer still leaves a clean epoch. *)
-  List.iter (fun n -> t.epoch_seen.(n) <- false) t.epoch_touched;
-  t.epoch_touched <- [];
-  t.in_epoch <- false;
   (* Cause links must not leap across the rewind. *)
   Array.fill t.ev_last 0 (Array.length t.ev_last) Obs.Event.no_cause
 

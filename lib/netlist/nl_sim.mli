@@ -12,7 +12,9 @@
     golden lane: the scalar views ({!get_output}, {!net_toggles},
     {!toggle_cover}, {!power_activity}, {!net_value}) read it.
 
-    The default {!Event_driven} mode is activity-based: cells are
+    At creation the combinational cells are compiled, in topological
+    order, into one flat opcode program that both modes evaluate.  The
+    default {!Event_driven} mode is activity-based: cells are
     levelized at creation, each net knows its combinational readers, and
     a settle re-evaluates only cells where any lane of an input moved
     (one ascending sweep over the dirty levels).  {!Full_eval} evaluates
@@ -206,7 +208,7 @@ val cell_activity : t -> (string * int) list
 (** {1 Toggle coverage and power sampling}
 
     One collector per lane, riding the per-cycle toggle accounting in
-    both modes (so a disabled run pays one branch per changed net, and
+    both modes (so a disabled run pays one branch per changed word, and
     both modes record identical data).  Merge per-lane coverage via
     [Cover.Db.merge] for the multi-seed union. *)
 

@@ -246,32 +246,75 @@ let test_rtl_sim_toggle_cover () =
   let both = Cover.Toggle.covered tg in
   Alcotest.(check bool) "output bits move both ways" true (both >= 2)
 
-let test_nl_sim_modes_agree () =
-  let nl = Backend.Lower.lower (small_design ()) in
-  let run mode =
-    let sim = Backend.Nl_sim.create ~mode nl in
-    Backend.Nl_sim.enable_toggle_cover sim;
-    Backend.Nl_sim.set_input_int sim "a" 0;
-    drive_int
-      (Backend.Nl_sim.set_input_int sim)
-      (fun () -> Backend.Nl_sim.step sim);
-    match Backend.Nl_sim.toggle_cover sim with
-    | Some tg -> tg
-    | None -> Alcotest.fail "no collector after enable"
+(* A 4-bit accumulator: the clock-edge epoch writes combinational nets
+   (the adder) as well as flip-flop outputs. *)
+let acc_design () =
+  let open Builder.Dsl in
+  let b = Builder.create "cov_acc" in
+  let a = Builder.input b "a" 4 in
+  let y = Builder.output b "y" 4 in
+  Builder.sync b "acc" [ y <-- (v y +: v a) ];
+  Builder.finish b
+
+(* The same run in both scheduling modes at [lanes] lanes: lane [k]
+   sees its own stimulus stream through [set_input_packed], lanes 5 and
+   65 (where present) carry stuck-at faults.  [collect] enables a
+   collector and [read sim lane] returns a comparable view of it.  The
+   two modes must agree on every lane, every lane must match a one-lane
+   run of its own stimulus and fault, and distinct stimulus must make
+   some lane differ from lane 0. *)
+let check_modes_agree ~lanes ~collect ~read =
+  let module S = Backend.Nl_sim in
+  let nl = Backend.Lower.lower (acc_design ()) in
+  let y = List.assoc "y" (Backend.Netlist.outputs nl) in
+  let faults =
+    [ (5, y.(1), true); (65, Backend.Netlist.net_count nl / 2, false) ]
   in
-  let ev = run Backend.Nl_sim.Event_driven in
-  let fl = run Backend.Nl_sim.Full_eval in
-  Alcotest.(check int) "same universe" (Cover.Toggle.bits fl)
-    (Cover.Toggle.bits ev);
-  for i = 0 to Cover.Toggle.bits ev - 1 do
-    if
-      Cover.Toggle.rises ev i <> Cover.Toggle.rises fl i
-      || Cover.Toggle.falls ev i <> Cover.Toggle.falls fl i
-    then
-      Alcotest.failf "mode disagreement on %s" (Cover.Toggle.name ev i)
-  done;
-  Alcotest.(check bool) "netlist covered something" true
-    (Cover.Toggle.covered ev > 0)
+  (* Lanes [first ..] of the sweep, simulated as lanes [0 ..]. *)
+  let run mode ~lanes ~first =
+    let sim = S.create ~mode ~lanes nl in
+    collect sim;
+    List.iter
+      (fun (lane, net, value) ->
+        if lane >= first && lane < first + lanes then
+          S.inject_stuck_at sim ~lane:(lane - first) ~net ~value)
+      faults;
+    for c = 0 to 11 do
+      S.set_input_packed sim "a"
+        (Bitvec.transpose
+           (Array.init lanes (fun k ->
+                let lane = first + k in
+                let a = ((c * 5) + (lane * (c + 1))) land 15 in
+                Bitvec.of_int ~width:4 a)));
+      S.step sim
+    done;
+    Array.init lanes (read sim)
+  in
+  let ev = run S.Event_driven ~lanes ~first:0
+  and fl = run S.Full_eval ~lanes ~first:0 in
+  Array.iteri
+    (fun lane e ->
+      if e <> fl.(lane) then
+        Alcotest.failf "%d lanes: modes disagree on lane %d" lanes lane;
+      if e <> (run S.Event_driven ~lanes:1 ~first:lane).(0) then
+        Alcotest.failf "%d lanes: lane %d differs from its one-lane run" lanes
+          lane)
+    ev;
+  if lanes > 1 then
+    Alcotest.(check bool) "lanes carry distinct stimulus" true
+      (Array.exists (fun e -> e <> ev.(0)) ev)
+
+let test_nl_sim_modes_agree lanes () =
+  let some_covered = ref false in
+  check_modes_agree ~lanes ~collect:Backend.Nl_sim.enable_toggle_cover
+    ~read:(fun sim lane ->
+      match Backend.Nl_sim.lane_cover sim lane with
+      | Some tg ->
+          if Cover.Toggle.covered tg > 0 then some_covered := true;
+          List.init (Cover.Toggle.bits tg) (fun i ->
+              (Cover.Toggle.rises tg i, Cover.Toggle.falls tg i))
+      | None -> Alcotest.fail "no collector after enable");
+  Alcotest.(check bool) "netlist covered something" true !some_covered
 
 (* ------------------------------------------------------------------ *)
 (* Activity: windowed switching-activity sampling for power            *)
@@ -374,36 +417,24 @@ let test_activity_straddles_epoch () =
 
 (* Event-driven and full-eval scheduling must report identical windowed
    activity, not merely identical toggle totals. *)
-let test_activity_modes_agree () =
-  let nl = Backend.Lower.lower (small_design ()) in
-  let run mode =
-    let sim = Backend.Nl_sim.create ~mode nl in
-    Backend.Nl_sim.enable_power_sampler ~window:3 sim;
-    Backend.Nl_sim.set_input_int sim "a" 0;
-    drive_int
-      (Backend.Nl_sim.set_input_int sim)
-      (fun () -> Backend.Nl_sim.step sim);
-    match Backend.Nl_sim.power_activity sim with
-    | Some a ->
-        Cover.Activity.flush a;
-        a
-    | None -> Alcotest.fail "no sampler after enable"
-  in
-  let ev = run Backend.Nl_sim.Event_driven in
-  let fl = run Backend.Nl_sim.Full_eval in
-  let shape a =
-    List.map
-      (fun w ->
-        ( w.Cover.Activity.w_index,
-          w.Cover.Activity.w_start,
-          w.Cover.Activity.w_cycles,
-          w.Cover.Activity.w_counts ))
-      (Cover.Activity.windows a)
-  in
-  Alcotest.(check bool) "some activity recorded" true
-    (Cover.Activity.total_toggles ev > 0);
-  Alcotest.(check bool) "event/full windows identical" true
-    (shape ev = shape fl)
+let test_activity_modes_agree lanes () =
+  let some_activity = ref false in
+  check_modes_agree ~lanes
+    ~collect:(Backend.Nl_sim.enable_power_sampler ~window:3)
+    ~read:(fun sim lane ->
+      match Backend.Nl_sim.lane_activity sim lane with
+      | Some a ->
+          Cover.Activity.flush a;
+          if Cover.Activity.total_toggles a > 0 then some_activity := true;
+          List.map
+            (fun w ->
+              ( w.Cover.Activity.w_index,
+                w.Cover.Activity.w_start,
+                w.Cover.Activity.w_cycles,
+                w.Cover.Activity.w_counts ))
+            (Cover.Activity.windows a)
+      | None -> Alcotest.fail "no sampler after enable");
+  Alcotest.(check bool) "some activity recorded" true !some_activity
 
 let test_engine_power_threading () =
   let design = small_design () in
@@ -473,7 +504,11 @@ let suite =
     Alcotest.test_case "db json round-trip" `Quick test_db_json_roundtrip;
     Alcotest.test_case "db summary" `Quick test_db_summary;
     Alcotest.test_case "rtl_sim toggle cover" `Quick test_rtl_sim_toggle_cover;
-    Alcotest.test_case "nl_sim modes agree" `Quick test_nl_sim_modes_agree;
+    Alcotest.test_case "nl_sim modes agree" `Quick (test_nl_sim_modes_agree 1);
+    Alcotest.test_case "nl_sim modes agree (63 lanes)" `Quick
+      (test_nl_sim_modes_agree 63);
+    Alcotest.test_case "nl_sim modes agree (70 lanes)" `Quick
+      (test_nl_sim_modes_agree 70);
     Alcotest.test_case "engine cover threading" `Quick
       test_engine_cover_threading;
     Alcotest.test_case "activity windows" `Quick test_activity_windows;
@@ -482,7 +517,11 @@ let suite =
     Alcotest.test_case "activity straddles epoch" `Quick
       test_activity_straddles_epoch;
     Alcotest.test_case "activity modes agree" `Quick
-      test_activity_modes_agree;
+      (test_activity_modes_agree 1);
+    Alcotest.test_case "activity modes agree (63 lanes)" `Quick
+      (test_activity_modes_agree 63);
+    Alcotest.test_case "activity modes agree (70 lanes)" `Quick
+      (test_activity_modes_agree 70);
     Alcotest.test_case "engine power threading" `Quick
       test_engine_power_threading;
   ]

@@ -122,9 +122,14 @@ let window e seed a b =
   done;
   List.rev !acc
 
-let check_replay make =
+(* With [stimulated], cycle 20's stimulus is applied before the
+   checkpoint, so the engine holds scheduled but unsettled work.
+   Re-applying that stimulus after a restore moves no net: only the
+   restored schedule can re-evaluate the cells reading it. *)
+let check_replay ?(stimulated = false) make =
   let e = make () in
   ignore (window e 7 0 20);
+  if stimulated then stim e 7 20;
   let ck =
     match Engine.checkpoint e with
     | Some ck -> ck
@@ -145,6 +150,15 @@ let test_checkpoint_rtl () = check_replay (fun () -> Rtl_engine.create (acc_desi
 let test_checkpoint_netlist () =
   let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
   check_replay (fun () -> Backend.Nl_engine.create nl)
+
+let test_checkpoint_netlist_full () =
+  let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
+  check_replay (fun () ->
+      Backend.Nl_engine.create ~mode:Backend.Nl_sim.Full_eval nl)
+
+let test_checkpoint_netlist_stimulated () =
+  let nl = Backend.Opt.optimize (Backend.Lower.lower (acc_design ())) in
+  check_replay ~stimulated:true (fun () -> Backend.Nl_engine.create nl)
 
 (* Word-parallel: distinct per-lane stimulus, per-lane comparison. *)
 let test_checkpoint_word () =
@@ -299,6 +313,10 @@ let () =
             (pristine test_checkpoint_rtl);
           Alcotest.test_case "checkpoint netlist" `Quick
             (pristine test_checkpoint_netlist);
+          Alcotest.test_case "checkpoint netlist full eval" `Quick
+            (pristine test_checkpoint_netlist_full);
+          Alcotest.test_case "checkpoint netlist before step" `Quick
+            (pristine test_checkpoint_netlist_stimulated);
           Alcotest.test_case "checkpoint word lanes" `Quick
             (pristine test_checkpoint_word);
           Alcotest.test_case "checkpoint with events" `Quick

@@ -478,7 +478,32 @@ let test_sim_span_coverage () =
   Alcotest.(check int) "results agree" 7
     (Backend.Nl_sim.get_output_int gsim "y");
   Alcotest.(check bool) "settle histogram recorded" true
-    (Obs.Hist.count (Obs.Hist.histogram "rtl_sim.dirty_vars_per_settle") > 0)
+    (Obs.Hist.count (Obs.Hist.histogram "rtl_sim.dirty_vars_per_settle") > 0);
+  (* Nets touched per step counts nets, not words: broadcast stimulus
+     touches the same nets at 70 lanes (two words per net) as at one.
+     An accumulator, so the clock edge also moves combinational nets. *)
+  let acc =
+    let open Builder.Dsl in
+    let b = Builder.create "obs_acc" in
+    let a = Builder.input b "a" 4 in
+    let y = Builder.output b "y" 4 in
+    Builder.sync b "acc" [ y <-- (v y +: v a) ];
+    Backend.Lower.lower (Builder.finish b)
+  in
+  let touched lanes =
+    let h = Obs.Hist.histogram "nl_sim.nets_touched_per_step" in
+    Obs.Hist.reset h;
+    let s = Backend.Nl_sim.create ~lanes acc in
+    List.iter
+      (fun a ->
+        Backend.Nl_sim.set_input_int s "a" a;
+        Backend.Nl_sim.step s)
+      [ 3; 5; 0 ];
+    Obs.Hist.sum h
+  in
+  Alcotest.(check bool) "nets touched recorded" true (touched 1 > 0.0);
+  Alcotest.(check (float 0.0)) "nets touched at 70 lanes" (touched 1)
+    (touched 70)
 
 let test_nl_profiling () =
   let design = small_design () in
