@@ -1,9 +1,11 @@
 (* Benchmark harness: one experiment per claim of the paper's
-   evaluation (see DESIGN.md experiment index).  Run with no argument
-   for everything, or with a list of experiment ids:
+   evaluation (see DESIGN.md experiment index), plus the smoke
+   workload behind the CI gates.  Run with no argument for every
+   experiment, or with a list of experiment ids:
 
      dune exec bench/main.exe            # all
-     dune exec bench/main.exe -- e1 e6   # selected *)
+     dune exec bench/main.exe -- e1 e6   # selected
+     dune exec bench/main.exe -- --help  # gates, reports, collectors *)
 
 open Hdl
 module CD = Osss.Class_def
@@ -318,62 +320,95 @@ let e5 () =
     (gates (shared_object_module Osss.Shared.Fcfs))
 
 (* ------------------------------------------------------------------ *)
-(* E6: simulation speed across abstraction levels                      *)
-
-let rtl_frame_sim () =
-  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
-  Rtl_sim.set_input_int sim "ext_reset" 0;
-  Rtl_sim.set_input_int sim "target_bin" 7;
-  Rtl_sim.run sim 15;
-  Rtl_sim.set_input_int sim "frame_sync" 1;
-  Rtl_sim.run sim 4;
-  Rtl_sim.set_input_int sim "line_valid" 1;
-  Array.iter
-    (fun px ->
-      Rtl_sim.set_input_int sim "pixel" px;
-      Rtl_sim.step sim)
-    frame;
-  Rtl_sim.set_input_int sim "line_valid" 0;
-  Rtl_sim.set_input_int sim "frame_sync" 0;
-  let guard = ref 0 in
-  while Rtl_sim.get_int sim "frame_done" = 0 && !guard < 4000 do
-    Rtl_sim.step sim;
-    incr guard
-  done;
-  Rtl_sim.cycles sim
+(* The ExpoCU frame workload shared by E6, POWER and the gates         *)
 
 let gate_netlist = lazy (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
 
-(* One 256-pixel frame on a gate-level simulator; returns its cycles. *)
-let gate_frame sim =
-  let frame = Array.init 256 (fun i -> i * 53 mod 256) in
-  Backend.Nl_sim.set_input_int sim "ext_reset" 0;
-  Backend.Nl_sim.set_input_int sim "target_bin" 7;
-  Backend.Nl_sim.set_input_int sim "sda_in" 0;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-  Backend.Nl_sim.set_input_int sim "line_valid" 0;
-  Backend.Nl_sim.set_input_int sim "pixel" 0;
-  Backend.Nl_sim.run sim 15;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 1;
-  Backend.Nl_sim.run sim 4;
-  Backend.Nl_sim.set_input_int sim "line_valid" 1;
-  Array.iter
-    (fun px ->
-      Backend.Nl_sim.set_input_int sim "pixel" px;
-      Backend.Nl_sim.step sim)
-    frame;
-  Backend.Nl_sim.set_input_int sim "line_valid" 0;
-  Backend.Nl_sim.set_input_int sim "frame_sync" 0;
-  let guard = ref 0 in
-  while Backend.Nl_sim.get_output_int sim "frame_done" = 0 && !guard < 4000 do
-    Backend.Nl_sim.step sim;
-    incr guard
+(* One ExpoCU frame of stimulus against an already-created simulator.
+   [bind] resolves a port name to its drive closure once, up front, so
+   backends with prebound port handles (Nl_sim.in_port) pay no name
+   lookup in the stimulus loop; all simulators share the exact same
+   drive sequence.  [drive_pixel i] drives the [i]th pixel; by default
+   every simulator sees the stream (i*53) mod 256. *)
+let drive_frame ?drive_pixel ~bind ~step ~get ~pixels () =
+  let ext_reset = bind "ext_reset"
+  and target_bin = bind "target_bin"
+  and sda_in = bind "sda_in"
+  and frame_sync = bind "frame_sync"
+  and line_valid = bind "line_valid"
+  and pixel = bind "pixel" in
+  let drive_pixel =
+    match drive_pixel with Some f -> f | None -> fun i -> pixel (i * 53 mod 256)
+  in
+  ext_reset 0;
+  target_bin 7;
+  sda_in 0;
+  frame_sync 0;
+  line_valid 0;
+  pixel 0;
+  for _ = 1 to 15 do step () done;
+  frame_sync 1;
+  for _ = 1 to 4 do step () done;
+  line_valid 1;
+  for i = 0 to pixels - 1 do
+    drive_pixel i;
+    step ()
   done;
-  Backend.Nl_sim.cycles sim
+  line_valid 0;
+  frame_sync 0;
+  let guard = ref 0 in
+  while get "frame_done" = 0 && !guard < 4000 do
+    step ();
+    incr guard
+  done
 
-let gate_frame_sim () =
-  gate_frame (Backend.Nl_sim.create (Lazy.force gate_netlist))
+let drive_nl ?drive_pixel ~pixels sim =
+  drive_frame ?drive_pixel
+    ~bind:(fun name ->
+      Backend.Nl_sim.drive_port_int sim (Backend.Nl_sim.in_port sim name))
+    ~step:(fun () -> Backend.Nl_sim.step sim)
+    ~get:(Backend.Nl_sim.get_output_int sim)
+    ~pixels ()
+
+let drive_rtl ~pixels sim =
+  drive_frame ~bind:(Rtl_sim.set_input_int sim)
+    ~step:(fun () -> Rtl_sim.step sim)
+    ~get:(Rtl_sim.get_int sim) ~pixels ()
+
+let nl_frame ?(profile = false) ?mode ~pixels () =
+  let sim = Backend.Nl_sim.create ?mode (Lazy.force gate_netlist) in
+  if profile then Backend.Nl_sim.enable_profile sim;
+  drive_nl ~pixels sim;
+  sim
+
+let rtl_frame ~pixels () =
+  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
+  drive_rtl ~pixels sim;
+  sim
+
+(* The same frame on a full-eval [lanes]-lane simulator: control inputs
+   broadcast, the pixel stream distinct per lane — lane 0 carries the
+   scalar frame and lane l offsets it by l*17, so one run is [lanes]
+   stimulus seeds. *)
+let word_frame ~lanes ~pixels () =
+  let sim =
+    Backend.Nl_sim.create ~mode:Backend.Nl_sim.Full_eval ~lanes
+      (Lazy.force gate_netlist)
+  in
+  drive_nl ~pixels sim ~drive_pixel:(fun i ->
+      Backend.Nl_sim.set_input_packed sim "pixel"
+        (Array.init 8 (fun b ->
+             Bitvec.init lanes (fun l ->
+                 (((i * 53) + (l * 17)) mod 256) lsr b land 1 = 1))));
+  sim
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* ------------------------------------------------------------------ *)
+(* E6: simulation speed across abstraction levels                      *)
 
 let behavioural_frame_sim () =
   let r = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:256 () in
@@ -408,20 +443,14 @@ let e6 () =
     [
       Test.make ~name:"behavioural"
         (Staged.stage (fun () -> behavioural_frame_sim ()));
-      Test.make ~name:"rtl" (Staged.stage (fun () -> rtl_frame_sim ()));
-      Test.make ~name:"gate-level" (Staged.stage (fun () -> gate_frame_sim ()));
+      Test.make ~name:"rtl" (Staged.stage (fun () -> rtl_frame ~pixels:256 ()));
+      Test.make ~name:"gate-level"
+        (Staged.stage (fun () -> nl_frame ~pixels:256 ()));
     ]
   in
   let results = measure_ns tests in
-  let find key =
-    List.fold_left
-      (fun acc (name, est) ->
-        let nl = String.length name and kl = String.length key in
-        if nl >= kl && String.sub name (nl - kl) kl = key then Some est
-        else acc)
-      None results
-  in
-  let cycles = float_of_int (rtl_frame_sim ()) in
+  let find key = List.assoc_opt ("sim/" ^ key) results in
+  let cycles = float_of_int (Rtl_sim.cycles (rtl_frame ~pixels:256 ())) in
   let print name key =
     match find key with
     | Some ns ->
@@ -656,7 +685,7 @@ let power () =
     let nl = Backend.Opt.optimize (Backend.Lower.lower design) in
     let sim = Backend.Nl_sim.create nl in
     Backend.Nl_sim.enable_power_sampler sim;
-    ignore (gate_frame sim);
+    drive_nl ~pixels:256 sim;
     Synth.Power_dyn.analyze nl (Option.get (Backend.Nl_sim.power_activity sim))
   in
   let p_osss = run (Expocu.Expocu_top.osss_top ()) in
@@ -731,864 +760,30 @@ let xcheck () =
   report "after POR stretch elapses"
 
 (* ------------------------------------------------------------------ *)
-(* Simulation-core benchmark: activity-based vs full evaluation        *)
-
-(* One ExpoCU frame of stimulus against an already-created simulator.
-   [bind] resolves a port name to its drive closure once, up front, so
-   backends with prebound port handles (Nl_sim.in_port) pay no name
-   lookup in the stimulus loop; all simulators share the exact same
-   drive sequence.  [seed] offsets the pixel stream (seed 0 is the
-   historical stream, and matches lane [seed] of the word-parallel
-   frame's per-lane offsets), giving the multi-seed coverage runs
-   distinct but deterministic stimulus. *)
-let drive_frame ?(seed = 0) ~bind ~step ~get ~pixels () =
-  let frame = Array.init pixels (fun i -> ((i * 53) + (seed * 17)) mod 256) in
-  let ext_reset = bind "ext_reset"
-  and target_bin = bind "target_bin"
-  and sda_in = bind "sda_in"
-  and frame_sync = bind "frame_sync"
-  and line_valid = bind "line_valid"
-  and pixel = bind "pixel" in
-  ext_reset 0;
-  target_bin 7;
-  sda_in 0;
-  frame_sync 0;
-  line_valid 0;
-  pixel 0;
-  for _ = 1 to 15 do step () done;
-  frame_sync 1;
-  for _ = 1 to 4 do step () done;
-  line_valid 1;
-  Array.iter
-    (fun px ->
-      pixel px;
-      step ())
-    frame;
-  line_valid 0;
-  frame_sync 0;
-  let guard = ref 0 in
-  while get "frame_done" = 0 && !guard < 4000 do
-    step ();
-    incr guard
-  done
-
-let nl_bind sim name =
-  let port = Backend.Nl_sim.in_port sim name in
-  Backend.Nl_sim.drive_port_int sim port
-
-let nl_frame ?(profile = false) ~mode ~pixels () =
-  let sim = Backend.Nl_sim.create ~mode (Lazy.force gate_netlist) in
-  if profile then Backend.Nl_sim.enable_profile sim;
-  drive_frame ~bind:(nl_bind sim)
-    ~step:(fun () -> Backend.Nl_sim.step sim)
-    ~get:(Backend.Nl_sim.get_output_int sim)
-    ~pixels ();
-  sim
-
-let rtl_frame ~pixels () =
-  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
-  drive_frame
-    ~bind:(fun name -> Rtl_sim.set_input_int sim name)
-    ~step:(fun () -> Rtl_sim.step sim)
-    ~get:(Rtl_sim.get_int sim)
-    ~pixels ();
-  sim
-
-(* The same frame against the word-parallel simulator: control inputs
-   broadcast, the pixel stream distinct per lane — lane 0 carries the
-   scalar frame ((i*53) mod 256) and lane l offsets it by l*17, so one
-   run is [lanes] stimulus seeds. *)
-let wsim_frame ?(cover = false) ~mode ~lanes ~pixels () =
-  let w = Backend.Nl_sim.create ~mode ~lanes (Lazy.force gate_netlist) in
-  if cover then Backend.Nl_sim.enable_toggle_cover w;
-  let set = Backend.Nl_sim.set_input_int w in
-  let step () = Backend.Nl_sim.step w in
-  set "ext_reset" 0;
-  set "target_bin" 7;
-  set "sda_in" 0;
-  set "frame_sync" 0;
-  set "line_valid" 0;
-  set "pixel" 0;
-  for _ = 1 to 15 do step () done;
-  set "frame_sync" 1;
-  for _ = 1 to 4 do step () done;
-  set "line_valid" 1;
-  for i = 0 to pixels - 1 do
-    Backend.Nl_sim.set_input_packed w "pixel"
-      (Array.init 8 (fun b ->
-           Bitvec.init lanes (fun l ->
-               (((i * 53) + (l * 17)) mod 256) lsr b land 1 = 1)));
-    step ()
-  done;
-  set "line_valid" 0;
-  set "frame_sync" 0;
-  let guard = ref 0 in
-  while Backend.Nl_sim.get_output_int w "frame_done" = 0 && !guard < 4000 do
-    step ();
-    incr guard
-  done;
-  w
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Best wall time of [n] runs of a deterministic workload (the
-   simulators produce identical state each run, so min time is the
-   noise-free estimate). *)
-let timed_best n f =
-  let result, s0 = timed f in
-  let best = ref s0 in
-  for _ = 2 to n do
-    let _, s = timed f in
-    if s < !best then best := s
-  done;
-  (result, !best)
-
-let cps cycles s = if s > 0.0 then float_of_int cycles /. s else 0.0
-
-(* The two figures the CI perf gate watches, measured on the small smoke
-   workload so the gate and the emitted baseline agree on the workload:
-   the (deterministic) event-driven vs full-eval evals-per-cycle ratio,
-   and the 64-lane full-eval per-pattern throughput over the scalar
-   full-eval simulator. *)
-let perf_gate_pixels = 32
-let perf_gate_lanes = 64
-
-let measure_perf_gate () =
-  let pixels = perf_gate_pixels in
-  let ev = nl_frame ~mode:Backend.Nl_sim.Event_driven ~pixels () in
-  let fl, fl_s =
-    timed_best 3 (fun () -> nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ())
-  in
-  let w, w_s =
-    timed_best 3 (fun () ->
-        wsim_frame ~mode:Backend.Nl_sim.Full_eval ~lanes:perf_gate_lanes
-          ~pixels ())
-  in
-  let per_cycle evals cycles = float_of_int evals /. float_of_int cycles in
-  let ratio =
-    per_cycle (Backend.Nl_sim.gate_evals ev) (Backend.Nl_sim.cycles ev)
-    /. per_cycle (Backend.Nl_sim.gate_evals fl) (Backend.Nl_sim.cycles fl)
-  in
-  let scalar_pps = cps (Backend.Nl_sim.cycles fl) fl_s in
-  let word_pps = cps (Backend.Nl_sim.cycles w * perf_gate_lanes) w_s in
-  let speedup = if scalar_pps > 0.0 then word_pps /. scalar_pps else 0.0 in
-  let detail =
-    let open Obs.Json in
-    Obj
-      [
-        ("pixels", Int pixels);
-        ("lanes", Int perf_gate_lanes);
-        ("evals_per_cycle_ratio", Float ratio);
-        ("scalar_full_patterns_per_sec", Float scalar_pps);
-        ("word_full_patterns_per_sec", Float word_pps);
-        ("word64_per_pattern_speedup", Float speedup);
-      ]
-  in
-  (ratio, speedup, detail)
-
-(* Hierarchy & memo-cache measurements: run the OSSS flow over the full
-   ExpoCU top twice from a cleared module cache.  The warm run must hit
-   the lowering cache for every module and therefore finish no slower
-   than the cold run (modulo timer noise — see the gate tolerance). *)
-let measure_hierarchy () =
-  Backend.Lower.clear_cache ();
-  let design = Expocu.Expocu_top.osss_top () in
-  let lower_metric (r : Synth.Flow.result) key =
-    match
-      List.find_opt
-        (fun (p : Synth.Flow.pass) -> p.Synth.Flow.pass_name = "lower")
-        r.Synth.Flow.passes
-    with
-    | Some p -> Option.value ~default:0.0 (Synth.Flow.pass_metric p key)
-    | None -> 0.0
-  in
-  let cold, cold_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
-  let warm, warm_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
-  let warm_hits = int_of_float (lower_metric warm "cache_hits") in
-  let nl = warm.Synth.Flow.netlist in
-  let detail =
-    let open Obs.Json in
-    Obj
-      [
-        ("design", String design.Ir.mod_name);
-        ("cold_flow_ms", Float (cold_s *. 1000.0));
-        ("warm_flow_ms", Float (warm_s *. 1000.0));
-        ("cold_cache_hits", Float (lower_metric cold "cache_hits"));
-        ("cold_cache_misses", Float (lower_metric cold "cache_misses"));
-        ("warm_cache_hits", Float (lower_metric warm "cache_hits"));
-        ("warm_cache_misses", Float (lower_metric warm "cache_misses"));
-        ("region_nets", Int (Backend.Netlist.region_table_size nl));
-        ("hinted_nets", Int (Backend.Netlist.hint_table_size nl));
-        ( "modules",
-          List
-            (List.map (fun r -> String r) (Backend.Netlist.region_names nl)) );
-      ]
-  in
-  (cold_s, warm_s, warm_hits, detail)
-
-(* Dynamic power on the synthesized ExpoCU, OSSS flow vs conventional
-   flow: [Power_dyn.measure] drives both optimized netlists with the
-   same deterministic seeded stimulus, so the energy totals are
-   reproducible figures the CI energy gate can diff against a
-   checked-in baseline. *)
-let power_cycles = 256
-
-let measure_power =
-  lazy
-    (let osss, vhdl = Lazy.force expocu_results in
-     let run (r : Synth.Flow.result) =
-       Synth.Power_dyn.measure ~cycles:power_cycles r.Synth.Flow.netlist
-     in
-     let po = run osss and pv = run vhdl in
-     let side (p : Synth.Power_dyn.report) =
-       let open Obs.Json in
-       Obj
-         [
-           ("total_energy_pj", Float p.Synth.Power_dyn.p_total_energy_pj);
-           ("avg_mw", Float p.Synth.Power_dyn.p_avg_mw);
-           ("peak_mw", Float p.Synth.Power_dyn.p_peak_mw);
-           ("leakage_mw", Float p.Synth.Power_dyn.p_leakage_mw);
-           ( "peak_why",
-             match p.Synth.Power_dyn.p_peak_why with
-             | Some s -> String s
-             | None -> Null );
-         ]
-     in
-     let module_rows ?limit (p : Synth.Power_dyn.report) =
-       let rows =
-         List.sort
-           (fun (a : Synth.Power_dyn.module_row) b ->
-             compare b.Synth.Power_dyn.pm_energy_pj
-               a.Synth.Power_dyn.pm_energy_pj)
-           p.Synth.Power_dyn.p_by_module
-       in
-       let rec take n = function
-         | x :: rest when n > 0 -> x :: take (n - 1) rest
-         | _ -> []
-       in
-       let rows = match limit with Some n -> take n rows | None -> rows in
-       let open Obs.Json in
-       List
-         (List.map
-            (fun (r : Synth.Power_dyn.module_row) ->
-              Obj
-                [
-                  ( "path",
-                    String
-                      (if r.Synth.Power_dyn.pm_path = "" then "<top>"
-                       else r.Synth.Power_dyn.pm_path) );
-                  ("energy_pj", Float r.Synth.Power_dyn.pm_energy_pj);
-                  ("avg_mw", Float r.Synth.Power_dyn.pm_avg_mw);
-                  ("toggles", Int r.Synth.Power_dyn.pm_toggles);
-                ])
-            rows)
-     in
-     let detail =
-       let open Obs.Json in
-       Obj
-         [
-           ("workload", String "expocu_seeded");
-           ("cycles", Int power_cycles);
-           ("lib", String po.Synth.Power_dyn.p_lib);
-           ("freq_mhz", Float po.Synth.Power_dyn.p_freq_mhz);
-           ("osss", side po);
-           ("conventional", side pv);
-           ( "energy_ratio",
-             Float
-               (if pv.Synth.Power_dyn.p_total_energy_pj > 0.0 then
-                  po.Synth.Power_dyn.p_total_energy_pj
-                  /. pv.Synth.Power_dyn.p_total_energy_pj
-                else 0.0) );
-           ("top_modules", module_rows ~limit:5 po);
-           ("osss_by_module", module_rows po);
-         ]
-     in
-     (po, pv, detail))
-
-(* Coverage-instrumented smoke frame: the RTL interpreter carries the
-   full model (toggle bits + FSMs + covergroups + protocol monitor),
-   and the event-driven netlist contributes its per-net toggle bits
-   under the "nl:" prefix, so one DB spans both abstraction levels.
-   Safe to run as a [Par] shard: all simulators and collectors are
-   created here, inside the shard, and only the finished immutable DB
-   escapes. *)
-let smoke_cover_db ?(seed = 0) ~pixels () =
-  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
-  Rtl_sim.enable_toggle_cover sim;
-  let cp = Expocu.Coverpoints.attach sim in
-  let mon = Expocu.Monitors.expocu_monitor sim in
-  drive_frame ~seed
-    ~bind:(fun name -> Rtl_sim.set_input_int sim name)
-    ~step:(fun () -> Rtl_sim.step sim)
-    ~get:(Rtl_sim.get_int sim)
-    ~pixels ();
-  Expocu.Coverpoints.sample_frame cp sim;
-  Assert_mon.finish mon;
-  if not (Assert_mon.ok mon) then begin
-    List.iter
-      (fun v -> Format.eprintf "%a@." Assert_mon.pp_violation v)
-      (Assert_mon.violations mon);
-    failwith "smoke coverage run violated a protocol monitor"
-  end;
-  let nl =
-    Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven
-      (Lazy.force gate_netlist)
-  in
-  Backend.Nl_sim.enable_toggle_cover nl;
-  drive_frame ~seed ~bind:(nl_bind nl)
-    ~step:(fun () -> Backend.Nl_sim.step nl)
-    ~get:(Backend.Nl_sim.get_output_int nl)
-    ~pixels ();
-  let tg = function Some tg -> tg | None -> assert false in
-  Cover.Db.make
-    ~toggles:
-      (Cover.Db.toggle_entries ~prefix:"rtl:" (tg (Rtl_sim.toggle_cover sim))
-      @ Cover.Db.toggle_entries ~prefix:"nl:"
-          (tg (Backend.Nl_sim.toggle_cover nl)))
-    ~fsms:(Expocu.Coverpoints.fsms cp)
-    ~groups:(Expocu.Coverpoints.groups cp)
-    ~monitors:(Assert_mon.db_monitors mon)
-    ~run:(if seed = 0 then "bench-smoke" else Printf.sprintf "bench-smoke:seed%d" seed)
-    ()
-
-(* Multi-seed coverage closure, sharded one seed per domain: each shard
-   builds its own simulators and per-seed [Cover.Db], and the per-seed
-   databases merge in seed order with the monotone [Cover.Db.merge] —
-   so the merged DB is byte-identical for every [jobs]. *)
-let multi_seed_cover_db ?jobs ~seeds ~pixels () =
-  ignore (Lazy.force gate_netlist) (* force outside the shards *);
-  Par.map_list ?jobs
-    ~label:(Printf.sprintf "cover-seed-%d")
-    (fun seed -> smoke_cover_db ~seed ~pixels ())
-    seeds
-  |> function
-  | [] -> failwith "multi_seed_cover_db: no seeds"
-  | first :: rest -> List.fold_left Cover.Db.merge first rest
-
-(* Coverage gate: the freshly collected DB must not regress against the
-   checked-in baseline — every item the baseline covered must still be
-   covered (totals may grow, never shrink item-wise). *)
-let cover_gate ~baseline db =
-  match Cover.Db.load baseline with
-  | Error e ->
-      Obs.Log.errorf "cover-gate: %s" e;
-      exit 1
-  | Ok base -> (
-      match Cover.Db.diff base db with
-      | [] ->
-          Obs.Log.infof
-            "cover-gate: ok — baseline %s held (%.1f%% toggle coverage now)"
-            baseline
-            (100.0 *. Cover.Db.toggle_coverage db)
-      | lost ->
-          Obs.Log.errorf "cover-gate: %d items covered in %s are now uncovered:"
-            (List.length lost) baseline;
-          List.iter
-            (fun (kind, item) -> Obs.Log.errorf "  %-9s %s" kind item)
-            lost;
-          exit 1)
-
-(* Parallel campaign measurement for the [Par] domain pool: the same
-   fault list and seed set run at jobs=1 and jobs=4, and the results
-   must be bit-identical (the determinism contract) while the
-   wall-clock ratio gives the speedup figure the CI parallel gate
-   watches.  The fault count is tuned to the word packing: 62 faults
-   per 4-way shard keep each shard's 63 lanes (golden + faults) inside
-   one machine word, while the serial run packs all 249 lanes into
-   four words — equal total gate work either way, so the ratio
-   isolates pool overhead and the host's core count rather than a
-   packing artefact. *)
-let parallel_jobs = 4
-let parallel_faults = 248
-let parallel_cover_seeds = [ 0; 1; 2; 3 ]
-
-let measure_parallel () =
-  let jobs = parallel_jobs in
-  let nl = Lazy.force gate_netlist in
-  let rng = Random.State.make [| 0x9A8 |] in
-  let n_nets = Backend.Netlist.net_count nl in
-  let faults =
-    List.init parallel_faults (fun _ ->
-        {
-          Backend.Equiv.fault_net = Random.State.int rng n_nets;
-          stuck_at = Random.State.bool rng;
-        })
-  in
-  let drive _ (name, r) = if name = "ext_reset" then Bitvec.zero 1 else r in
-  let run_campaign jobs =
-    timed (fun () ->
-        Backend.Equiv.fault_campaign ~cycles:120 ~drive ~shrink:false ~jobs nl
-          faults)
-  in
-  let serial, serial_s = run_campaign 1 in
-  let par, par_s = run_campaign jobs in
-  (* Determinism contract: per-fault detection results and the cycle
-     figure are identical for every [jobs]; only the gate-eval total
-     legitimately varies with the sharding. *)
-  if
-    serial.Backend.Equiv.fault_results <> par.Backend.Equiv.fault_results
-    || serial.Backend.Equiv.faults_detected
-       <> par.Backend.Equiv.faults_detected
-    || serial.Backend.Equiv.campaign_cycles
-       <> par.Backend.Equiv.campaign_cycles
-  then failwith "parallel: sharded fault campaign diverged from jobs=1";
-  let db_string db = Obs.Json.to_string (Cover.Db.to_json db) in
-  let cov_serial, cov_serial_s =
-    timed (fun () ->
-        multi_seed_cover_db ~jobs:1 ~seeds:parallel_cover_seeds
-          ~pixels:perf_gate_pixels ())
-  in
-  let cov_par, cov_par_s =
-    timed (fun () ->
-        multi_seed_cover_db ~jobs ~seeds:parallel_cover_seeds
-          ~pixels:perf_gate_pixels ())
-  in
-  if db_string cov_serial <> db_string cov_par then
-    failwith "parallel: sharded multi-seed coverage DB diverged from jobs=1";
-  (* N-way differential sweep across stimulus seeds, one shard per
-     seed: every seed must hold RTL and gate level in lockstep. *)
-  let sweep_seeds = [ 42; 43; 44; 45 ] in
-  let sweep =
-    Backend.Equiv.differential_sweep ~cycles:100 ~shrink:false ~jobs
-      ~seeds:sweep_seeds
-      [
-        (fun () ->
-          Rtl_engine.create ~label:"rtl:expocu" (Expocu.Expocu_top.rtl_top ()));
-        (fun () ->
-          Backend.Nl_engine.create ~label:"gates:event"
-            ~mode:Backend.Nl_sim.Event_driven nl);
-      ]
-  in
-  List.iter
-    (fun (seed, r) ->
-      match r with
-      | Ok _ -> ()
-      | Error _ ->
-          failwith
-            (Printf.sprintf "parallel: differential sweep diverged at seed %d"
-               seed))
-    sweep;
-  let speedup num den = if den > 0.0 then num /. den else 0.0 in
-  let detail =
-    let open Obs.Json in
-    let shard_h = Obs.Hist.histogram "par.shard_ms" in
-    Obj
-      [
-        ("jobs", Int jobs);
-        ("recommended_domains", Int (Domain.recommended_domain_count ()));
-        ("identical", Bool true);
-        ( "fault_campaign",
-          Obj
-            [
-              ("faults", Int parallel_faults);
-              ("cycles", Int serial.Backend.Equiv.campaign_cycles);
-              ("detected", Int serial.Backend.Equiv.faults_detected);
-              ("serial_ms", Float (serial_s *. 1000.0));
-              ("parallel_ms", Float (par_s *. 1000.0));
-              ("speedup", Float (speedup serial_s par_s));
-            ] );
-        ( "multi_seed_cover",
-          Obj
-            [
-              ("seeds", List (List.map (fun s -> Int s) parallel_cover_seeds));
-              ("pixels", Int perf_gate_pixels);
-              ("serial_ms", Float (cov_serial_s *. 1000.0));
-              ("parallel_ms", Float (cov_par_s *. 1000.0));
-              ("speedup", Float (speedup cov_serial_s cov_par_s));
-            ] );
-        ( "differential_sweep",
-          Obj
-            [
-              ("seeds", List (List.map (fun (s, _) -> Int s) sweep));
-              ("all_ok", Bool true);
-            ] );
-        ( "shard_ms",
-          if Obs.Hist.count shard_h > 0 then Obs.Hist.to_json shard_h else Null
-        );
-      ]
-  in
-  (serial_s, par_s, detail)
-
-(* Emit BENCH_sim.json: cycles/sec and evals/cycle for the ExpoCU frame
-   workload — netlist simulator in both modes, plus the RTL
-   interpreter's process-run rate — with the per-settle histograms and
-   the hot-nets / hot-cells / hot-processes activity profiles.  See
-   docs/PERFORMANCE.md and docs/OBSERVABILITY.md. *)
-let bench_json ~profile ~lanes () =
-  (* Histograms are part of the emitted document; recording costs one
-     branch per settle and is paid identically by every contestant. *)
-  Obs.Hist.enable ();
-  Obs.Hist.reset_all ();
-  (* The kernel.* and flow.* histograms are fed by the behavioural model
-     and the synthesis flow; run one of each so every registered
-     histogram in the emitted document carries samples. *)
-  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
-  if beh.Expocu.Behave_model.kernel_runs = 0 then
-    failwith "bench: behavioural model ran no kernel processes";
-  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
-  if flow.Synth.Flow.passes = [] then
-    failwith "bench: flow recorded no passes";
-  let pixels = 256 in
-  let ev, ev_s =
-    timed (fun () ->
-        nl_frame ~profile:true ~mode:Backend.Nl_sim.Event_driven ~pixels ())
-  in
-  let fl, fl_s = timed (fun () -> nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ()) in
-  let rtl, rtl_s = timed (fun () -> rtl_frame ~pixels ()) in
-  let per_cycle count sim = float_of_int count /. float_of_int (Backend.Nl_sim.cycles sim) in
-  let rtl_cycles = Rtl_sim.cycles rtl in
-  let lane_sweep = match lanes with Some n -> [ n ] | None -> [ 1; 8; 64 ] in
-  let sweep_entry lanes =
-    let open Obs.Json in
-    let wmode mode =
-      let w, s = timed (fun () -> wsim_frame ~mode ~lanes ~pixels ()) in
-      let cycles = Backend.Nl_sim.cycles w in
-      Obj
-        [
-          ("cycles", Int cycles);
-          ("gate_evals", Int (Backend.Nl_sim.gate_evals w));
-          ("cycles_per_sec", Float (cps cycles s));
-          ("patterns_per_sec", Float (cps (cycles * lanes) s));
-        ]
-    in
-    Obj
-      [
-        ("lanes", Int lanes);
-        ("event_driven", wmode Backend.Nl_sim.Event_driven);
-        ("full_eval", wmode Backend.Nl_sim.Full_eval);
-      ]
-  in
-  let _, _, perf_gate_detail = measure_perf_gate () in
-  let _, _, _, hierarchy_detail = measure_hierarchy () in
-  let _, _, power_detail = Lazy.force measure_power in
-  let _, _, parallel_detail = measure_parallel () in
-  let open Obs.Json in
-  let mode_obj sim seconds extras =
-    Obj
-      ([
-         ("cycles", Int (Backend.Nl_sim.cycles sim));
-         ("gate_evals", Int (Backend.Nl_sim.gate_evals sim));
-         ( "evals_per_cycle",
-           Float (per_cycle (Backend.Nl_sim.gate_evals sim) sim) );
-       ]
-      @ extras
-      @ [ ("cycles_per_sec", Float (cps (Backend.Nl_sim.cycles sim) seconds)) ])
-  in
-  let rank raw = Obs.Profile.to_json (Obs.Profile.top raw) in
-  let rtl_activity = Rtl_sim.process_activity rtl in
-  let doc =
-    Obj
-      [
-        ("workload", String "expocu_frame");
-        ("pixels", Int pixels);
-        ( "netlist",
-          Obj
-            [
-              ("comb_cells", Int (Backend.Nl_sim.comb_cells ev));
-              ("dff_cells", Int (Backend.Nl_sim.dff_cells ev));
-              ( "event_driven",
-                mode_obj ev ev_s
-                  [ ("cells_skipped", Int (Backend.Nl_sim.cells_skipped ev)) ]
-              );
-              ("full_eval", mode_obj fl fl_s []);
-              ( "evals_per_cycle_ratio",
-                Float
-                  (per_cycle (Backend.Nl_sim.gate_evals ev) ev
-                  /. per_cycle (Backend.Nl_sim.gate_evals fl) fl) );
-            ] );
-        ( "word_parallel",
-          Obj
-            [
-              ("lane_bits", Int Backend.Nl_sim.lane_bits);
-              ("sweep", List (List.map sweep_entry lane_sweep));
-            ] );
-        ("perf_gate", perf_gate_detail);
-        ("hierarchy", hierarchy_detail);
-        ("power", power_detail);
-        ("parallel", parallel_detail);
-        ( "rtl",
-          Obj
-            [
-              ("cycles", Int rtl_cycles);
-              ("process_runs", Int (Rtl_sim.comb_runs rtl));
-              ("process_skips", Int (Rtl_sim.comb_skips rtl));
-              ( "runs_per_cycle",
-                Float
-                  (float_of_int (Rtl_sim.comb_runs rtl)
-                  /. float_of_int rtl_cycles) );
-              ("cycles_per_sec", Float (cps rtl_cycles rtl_s));
-            ] );
-        ("histograms", Obs.Hist.all_to_json ());
-        ( "profiles",
-          Obj
-            [
-              ("hot_nets", rank (Backend.Nl_sim.net_activity ev));
-              ("hot_cells", rank (Backend.Nl_sim.cell_activity ev));
-              ("hot_processes", rank rtl_activity);
-              ("hot_modules", rank (Obs.Profile.by_module rtl_activity));
-            ] );
-      ]
-  in
-  Obs.Json.save doc "BENCH_sim.json";
-  print_endline (to_string ~pretty:true doc);
-  List.iter
-    (fun h ->
-      if Obs.Hist.count h > 0 then
-        Obs.Log.infof "%-30s p50 %10.1f  p95 %10.1f  max %10.0f"
-          (Obs.Hist.name h)
-          (Obs.Hist.percentile h 50.0)
-          (Obs.Hist.percentile h 95.0)
-          (Obs.Hist.max_value h))
-    (Obs.Hist.all ());
-  if profile then begin
-    Obs.Log.info "hot nets (event-driven netlist):";
-    prerr_string
-      (Obs.Profile.table ~title:"hot nets" ~unit_name:"toggles"
-         (Obs.Profile.top (Backend.Nl_sim.net_activity ev)))
-  end;
-  Obs.Log.info "wrote BENCH_sim.json"
-
-(* Small self-checking run for `dune build @bench-smoke`: the
-   ENGINE-based differential harness must keep all three simulation
-   levels in lockstep, catch and shrink a seeded fault, and the
-   event-driven core must agree with full evaluation while doing
-   strictly less work. *)
-let bench_smoke ~profile () =
-  let pixels = 32 in
-  let nl = Lazy.force gate_netlist in
-  let factories =
-    [
-      (fun () ->
-        Rtl_engine.create ~label:"rtl:expocu" (Expocu.Expocu_top.rtl_top ()));
-      (fun () ->
-        Backend.Nl_engine.create ~label:"gates:event"
-          ~mode:Backend.Nl_sim.Event_driven nl);
-      (fun () ->
-        Backend.Nl_engine.create ~label:"gates:full"
-          ~mode:Backend.Nl_sim.Full_eval nl);
-      (* Word-parallel engine under broadcast stimulus: Engine.get reads
-         lane 0, so the lockstep compares the golden lane against every
-         scalar level each cycle. *)
-      (fun () -> Backend.Nl_engine.create ~label:"gates:word" ~lanes:8 nl);
-    ]
-  in
-  (match Backend.Equiv.differential ~cycles:200 factories with
-  | Ok _ -> ()
-  | Error d ->
-      failwith
-        (Format.asprintf "bench-smoke: lockstep divergence: %a"
-           Backend.Equiv.pp_divergence d));
-  (match
-     Backend.Equiv.differential ~cycles:200
-       (factories
-       @ [
-           (fun () ->
-             Engine.inject_fault ~port:"frame_done"
-               (Backend.Nl_engine.create ~label:"gates:seeded-fault" nl));
-         ])
-   with
-  | Ok _ -> failwith "bench-smoke: seeded fault not detected"
-  | Error d ->
-      if d.Backend.Equiv.first.Backend.Equiv.port <> "frame_done" then
-        failwith "bench-smoke: seeded fault localized to wrong port";
-      if Array.length d.Backend.Equiv.window <> 1 then
-        failwith "bench-smoke: seeded fault window did not shrink");
-  let ev = nl_frame ~profile ~mode:Backend.Nl_sim.Event_driven ~pixels () in
-  let fl = nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels () in
-  assert (Backend.Nl_sim.cycles ev = Backend.Nl_sim.cycles fl);
-  for n = 0 to Backend.Netlist.net_count nl - 1 do
-    if Backend.Nl_sim.net_toggles ev n <> Backend.Nl_sim.net_toggles fl n then
-      failwith (Printf.sprintf "bench-smoke: toggle mismatch on net %d" n)
-  done;
-  if Backend.Nl_sim.gate_evals ev >= Backend.Nl_sim.gate_evals fl then
-    failwith "bench-smoke: event-driven mode did not reduce gate evals";
-  (* Lane 0 of the word-parallel simulator must be bit-identical to the
-     scalar simulator on the frame workload in both scheduling modes:
-     same cycle count, same per-net toggle counts. *)
-  let lanes = 64 in
-  let wev = wsim_frame ~mode:Backend.Nl_sim.Event_driven ~lanes ~pixels () in
-  let wfl = wsim_frame ~mode:Backend.Nl_sim.Full_eval ~lanes ~pixels () in
-  List.iter
-    (fun (who, w) ->
-      if Backend.Nl_sim.cycles w <> Backend.Nl_sim.cycles ev then
-        failwith (Printf.sprintf "bench-smoke: %s cycle count diverged" who);
-      for n = 0 to Backend.Netlist.net_count nl - 1 do
-        if Backend.Nl_sim.net_toggles ev n <> Backend.Nl_sim.net_toggles w n
-        then
-          failwith
-            (Printf.sprintf "bench-smoke: %s lane-0 toggle mismatch on net %d"
-               who n)
-      done)
-    [ ("word-event", wev); ("word-full", wfl) ];
-  (* Lane-parallel fault campaign: a stuck-at-1 on the frame_done output
-     net must be observed against the golden lane and hand the scalar
-     harness a shrunk, replaying reproducer. *)
-  let frame_done_net = (List.assoc "frame_done" (Backend.Netlist.outputs nl)).(0) in
-  let campaign =
-    Backend.Equiv.fault_campaign ~cycles:120
-      nl
-      [ { Backend.Equiv.fault_net = frame_done_net; stuck_at = true } ]
-  in
-  if campaign.Backend.Equiv.faults_detected <> 1 then
-    failwith "bench-smoke: fault campaign missed stuck-at-1 on frame_done";
-  (match campaign.Backend.Equiv.fault_results with
-  | [ r ] -> (
-      match r.Backend.Equiv.shrunk with
-      | Some d
-        when Array.length d.Backend.Equiv.window >= 1
-             && d.Backend.Equiv.replay <> None ->
-          ()
-      | Some _ | None ->
-          failwith "bench-smoke: campaign fault has no replaying reproducer")
-  | _ -> assert false);
-  (* Multi-seed coverage in one run: a 4-lane frame with per-lane pixel
-     streams yields one toggle collector per seed; the union must cover
-     at least as much as any single seed. *)
-  let wc =
-    wsim_frame ~cover:true ~mode:Backend.Nl_sim.Event_driven ~lanes:4 ~pixels
-      ()
-  in
-  let lane_cov l =
-    match Backend.Nl_sim.lane_cover wc l with
-    | Some c -> c
-    | None -> failwith "bench-smoke: lane collector missing"
-  in
-  let cover_lanes = 4 in
-  let per_lane_covered =
-    List.init cover_lanes (fun l -> Cover.Toggle.covered (lane_cov l))
-  in
-  let cover_bits = Cover.Toggle.bits (lane_cov 0) in
-  let union_covered =
-    let n = ref 0 in
-    for i = 0 to cover_bits - 1 do
-      let any f = List.exists (fun l -> f (lane_cov l) i > 0) (List.init cover_lanes Fun.id) in
-      if any Cover.Toggle.rises && any Cover.Toggle.falls then incr n
-    done;
-    !n
-  in
-  if List.exists (fun c -> union_covered < c) per_lane_covered then
-    failwith "bench-smoke: multi-seed union covers less than a single seed";
-  let ratio, speedup, perf_gate_detail = measure_perf_gate () in
-  let hier_cold_s, hier_warm_s, hier_warm_hits, hierarchy_detail =
-    measure_hierarchy ()
-  in
-  let power_osss, _, power_detail = Lazy.force measure_power in
-  let par_serial_s, par_par_s, parallel_detail = measure_parallel () in
-  let rtl = rtl_frame ~pixels () in
-  if Rtl_sim.comb_skips rtl = 0 then
-    failwith "bench-smoke: rtl scheduler never skipped a process";
-  Obs.Log.infof
-    "bench-smoke ok: 4-way lockstep + fault shrink + %d-lane lane-0 \
-     identity + fault campaign, %d cycles, gate evals %d (event) vs %d \
-     (full), word64 per-pattern speedup %.1fx (ratio %.3f), rtl process \
-     runs %d skips %d"
-    lanes
-    (Backend.Nl_sim.cycles ev)
-    (Backend.Nl_sim.gate_evals ev)
-    (Backend.Nl_sim.gate_evals fl)
-    speedup ratio (Rtl_sim.comb_runs rtl) (Rtl_sim.comb_skips rtl);
-  Obs.Log.infof
-    "bench-smoke parallel: %d-fault campaign + %d-seed coverage + sweep \
-     identical at jobs 1 and %d (campaign %.0f ms serial, %.0f ms at %d \
-     jobs on %d recommended domains)"
-    parallel_faults
-    (List.length parallel_cover_seeds)
-    parallel_jobs (par_serial_s *. 1000.0) (par_par_s *. 1000.0)
-    parallel_jobs
-    (Domain.recommended_domain_count ());
-  let rtl_activity = Rtl_sim.process_activity rtl in
-  let extra =
-    let open Obs.Json in
-    [
-      ( "smoke",
-        Obj
-          [
-            ("workload", String "expocu_frame");
-            ("pixels", Int pixels);
-            ("cycles", Int (Backend.Nl_sim.cycles ev));
-            ("gate_evals_event", Int (Backend.Nl_sim.gate_evals ev));
-            ("gate_evals_full", Int (Backend.Nl_sim.gate_evals fl));
-            ("rtl_process_runs", Int (Rtl_sim.comb_runs rtl));
-            ("rtl_process_skips", Int (Rtl_sim.comb_skips rtl));
-            ("word_lanes", Int lanes);
-            ("word_gate_evals_event", Int (Backend.Nl_sim.gate_evals wev));
-            ("word_gate_evals_full", Int (Backend.Nl_sim.gate_evals wfl));
-            ( "campaign_detected_at",
-              match campaign.Backend.Equiv.fault_results with
-              | [ { Backend.Equiv.detected_at = Some c; _ } ] -> Int c
-              | _ -> Null );
-            ( "campaign_site",
-              match campaign.Backend.Equiv.fault_results with
-              | [ { Backend.Equiv.site; _ } ] -> String site
-              | _ -> Null );
-          ] );
-      ("perf_gate", perf_gate_detail);
-      ("hierarchy", hierarchy_detail);
-      (* The schema-shaped power section rides in the report's own
-         ?power slot; this extra carries the OSSS-vs-conventional
-         comparison the energy gate reads. *)
-      ("power_compare", power_detail);
-      ("parallel", parallel_detail);
-      ( "multi_seed_cover",
-        Obj
-          [
-            ("lanes", Int cover_lanes);
-            ("bits", Int cover_bits);
-            ("per_lane_covered", List (List.map (fun c -> Int c) per_lane_covered));
-            ("union_covered", Int union_covered);
-          ] );
-    ]
-  in
-  let profiles =
-    [
-      ("hot_nets", Obs.Profile.top (Backend.Nl_sim.net_activity ev));
-      ("hot_cells", Obs.Profile.top (Backend.Nl_sim.cell_activity ev));
-      ("hot_processes", Obs.Profile.top rtl_activity);
-      ("hot_modules", Obs.Profile.top (Obs.Profile.by_module rtl_activity));
-    ]
-  in
-  ( extra,
-    profiles,
-    (ratio, speedup),
-    (hier_cold_s, hier_warm_s, hier_warm_hits),
-    power_osss,
-    (par_serial_s, par_par_s) )
-
-(* When the smoke run is being traced, pull the remaining instrumented
-   layers (the sc_method kernel and the synthesis flow) into the same
-   process so one Chrome trace covers kernel steps, engine settles and
-   every Flow pass. *)
-let cover_traced_layers () =
-  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
-  if beh.Expocu.Behave_model.kernel_runs = 0 then
-    failwith "bench-smoke: behavioural model ran no kernel processes";
-  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
-  if flow.Synth.Flow.passes = [] then
-    failwith "bench-smoke: flow recorded no passes"
-
-(* ------------------------------------------------------------------ *)
 (* Lane-parallel fault campaign on the full ExpoCU netlist             *)
+
+(* [n] seeded random stuck-at faults on the ExpoCU gate netlist. *)
+let random_faults ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let n_nets = Backend.Netlist.net_count (Lazy.force gate_netlist) in
+  List.init n (fun _ ->
+      {
+        Backend.Equiv.fault_net = Random.State.int rng n_nets;
+        stuck_at = Random.State.bool rng;
+      })
+
+(* Pure random stimulus would toggle ext_reset every other cycle and
+   keep the design in reset; hold it released so faults propagate. *)
+let hold_reset_released _ (name, r) =
+  if name = "ext_reset" then Bitvec.zero 1 else r
 
 let faults_exp () =
   section "faults"
     "Lane-parallel stuck-at campaign: 63 fault candidates + golden lane, \
      one word-parallel run";
   let nl = Lazy.force gate_netlist in
-  let rng = Random.State.make [| 0xFA17 |] in
-  let n_nets = Backend.Netlist.net_count nl in
-  let faults =
-    List.init 63 (fun _ ->
-        {
-          Backend.Equiv.fault_net = Random.State.int rng n_nets;
-          stuck_at = Random.State.bool rng;
-        })
-  in
-  (* Pure random stimulus would toggle ext_reset every other cycle and
-     keep the design in reset; hold it released so faults propagate. *)
-  let drive _ (name, r) = if name = "ext_reset" then Bitvec.zero 1 else r in
+  let faults = random_faults ~seed:0xFA17 63 in
+  let drive = hold_reset_released in
   let (c : Backend.Equiv.campaign), s =
     timed (fun () ->
         Backend.Equiv.fault_campaign ~cycles:400 ~drive ~shrink:false nl faults)
@@ -1671,228 +866,516 @@ let experiments =
     ("ablation", ablation); ("faults", faults_exp);
   ]
 
-type opts = {
-  mutable smoke : bool;
-  mutable json : bool;
-  mutable profile : bool;
-  mutable lanes : int option;
-  mutable trace_out : string option;
-  mutable stats_json : string option;
-  mutable check_report : string option;
-  mutable cover_out : string option;
-  mutable cover_summary : bool;
-  mutable cover_merge : (string * string) option;
-  mutable cover_gate : string option;
-  mutable perf_gate : string option;
-  mutable append_history : string option;  (* date stamp for the entry *)
-  mutable history_check : string option;
-  mutable power_out : string option;
-  mutable power_summary : bool;
-  mutable jobs : int option;
-  mutable ids : string list;  (* reverse order *)
+(* ------------------------------------------------------------------ *)
+(* Gate workloads: the figures CI gates on and BENCH_sim.json records  *)
+
+let cps cycles s = if s > 0.0 then float_of_int cycles /. s else 0.0
+
+let median xs =
+  let a = Array.of_list (List.sort compare xs) in
+  a.(Array.length a / 2)
+
+let evals_per_cycle sim =
+  float_of_int (Backend.Nl_sim.gate_evals sim)
+  /. float_of_int (Backend.Nl_sim.cycles sim)
+
+(* The two perf-gate figures, on the small smoke frame: the
+   deterministic event-driven vs full-eval evals-per-cycle ratio, and
+   the 64-lane full-eval per-pattern throughput over the scalar
+   full-eval simulator.  The speedup is the median over alternating
+   scalar/word sample pairs, so host load drifting during the run hits
+   both sides of each pair alike.  [ev] is profiled: its activity is
+   the smoke report's hot-net and hot-cell profile. *)
+let perf_gate_pixels = 32
+let perf_gate_lanes = 64
+let perf_gate_samples = 7
+
+type perf = {
+  ev : Backend.Nl_sim.t;
+  fl : Backend.Nl_sim.t;
+  ratio : float;
+  speedup : float;
+  perf_fields : (string * Obs.Json.t) list;
 }
 
-let usage () =
-  Obs.Log.error
-    "usage: bench [--smoke] [--json] [--profile] [--lanes N] [--trace-out \
-     FILE] [--stats-json FILE] [--check-report FILE] [--cover-out FILE] \
-     [--cover-summary] [--cover-merge A B] [--cover-gate BASELINE] \
-     [--perf-gate BASELINE] [--append-history DATE] [--history-check FILE] \
-     [--power-out FILE] [--power-summary] [--jobs N] [experiment ids...]";
-  exit 2
-
-(* CI perf gate: compare the fresh smoke-workload measurements against
-   the checked-in BENCH_sim.json.  The evals-per-cycle ratio is a
-   deterministic count and may not grow more than 20% over baseline; the
-   64-lane per-pattern speedup is wall-clock and may not fall more than
-   20% below baseline nor under the absolute 10x floor.  The OSSS
-   dynamic energy total on the seeded power workload is deterministic
-   and may not grow more than 20% — an optimization that trades area
-   for a hot, always-toggling structure trips this gate. *)
-let perf_gate_check ~baseline (ratio, speedup)
-    (hier_cold_s, hier_warm_s, hier_warm_hits)
-    (power_osss : Synth.Power_dyn.report) (par_serial_s, par_par_s) =
-  let doc =
-    try
-      let ic = open_in_bin baseline in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some (Obs.Json.of_string s)
-    with _ -> None
+let measure_perf_gate () =
+  let pixels = perf_gate_pixels and lanes = perf_gate_lanes in
+  let ev =
+    nl_frame ~profile:true ~mode:Backend.Nl_sim.Event_driven ~pixels ()
   in
-  match doc with
+  let fl = nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels () in
+  let ratio = evals_per_cycle ev /. evals_per_cycle fl in
+  let pairs =
+    List.init perf_gate_samples (fun _ ->
+        let s, s_s =
+          timed (fun () -> nl_frame ~mode:Backend.Nl_sim.Full_eval ~pixels ())
+        in
+        let w, w_s = timed (word_frame ~lanes ~pixels) in
+        ( cps (Backend.Nl_sim.cycles s) s_s,
+          cps (Backend.Nl_sim.cycles w * lanes) w_s ))
+  in
+  let speedup = median (List.map (fun (s, w) -> w /. s) pairs) in
+  let perf_fields =
+    let open Obs.Json in
+    [
+      ("pixels", Int pixels);
+      ("lanes", Int lanes);
+      ("samples", Int perf_gate_samples);
+      ("evals_per_cycle_ratio", Float ratio);
+      ("scalar_full_patterns_per_sec", Float (median (List.map fst pairs)));
+      ("word_full_patterns_per_sec", Float (median (List.map snd pairs)));
+      ("word64_per_pattern_speedup", Float speedup);
+    ]
+  in
+  { ev; fl; ratio; speedup; perf_fields }
+
+(* Hierarchy & memo-cache measurements: run the OSSS flow over the full
+   ExpoCU top twice from a cleared module cache.  The warm run must hit
+   the lowering cache for every module and therefore finish no slower
+   than the cold run (modulo timer noise — see the gate tolerance). *)
+let measure_hierarchy () =
+  Backend.Lower.clear_cache ();
+  let design = Expocu.Expocu_top.osss_top () in
+  let lower_metric (r : Synth.Flow.result) key =
+    match
+      List.find_opt
+        (fun (p : Synth.Flow.pass) -> p.Synth.Flow.pass_name = "lower")
+        r.Synth.Flow.passes
+    with
+    | Some p -> Option.value ~default:0.0 (Synth.Flow.pass_metric p key)
+    | None -> 0.0
+  in
+  let cold, cold_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
+  let warm, warm_s = timed (fun () -> Synth.Flow.run Synth.Flow.Osss design) in
+  let warm_hits = int_of_float (lower_metric warm "cache_hits") in
+  let nl = warm.Synth.Flow.netlist in
+  let detail =
+    let open Obs.Json in
+    Obj
+      [
+        ("design", String design.Ir.mod_name);
+        ("cold_flow_ms", Float (cold_s *. 1000.0));
+        ("warm_flow_ms", Float (warm_s *. 1000.0));
+        ("cold_cache_hits", Float (lower_metric cold "cache_hits"));
+        ("cold_cache_misses", Float (lower_metric cold "cache_misses"));
+        ("warm_cache_hits", Float (lower_metric warm "cache_hits"));
+        ("warm_cache_misses", Float (lower_metric warm "cache_misses"));
+        ("region_nets", Int (Backend.Netlist.region_table_size nl));
+        ("hinted_nets", Int (Backend.Netlist.hint_table_size nl));
+        ( "modules",
+          List
+            (List.map (fun r -> String r) (Backend.Netlist.region_names nl)) );
+      ]
+  in
+  (cold_s, warm_s, warm_hits, detail)
+
+(* Dynamic power on the synthesized ExpoCU, OSSS flow vs conventional
+   flow: [Power_dyn.measure] drives both optimized netlists with the
+   same deterministic seeded stimulus, so the energy totals are
+   reproducible figures the CI energy gate can diff against a
+   checked-in baseline. *)
+let power_cycles = 256
+
+let measure_power =
+  lazy
+    (let open Synth.Power_dyn in
+     let osss, vhdl = Lazy.force expocu_results in
+     let run (r : Synth.Flow.result) =
+       measure ~cycles:power_cycles r.Synth.Flow.netlist
+     in
+     let po = run osss and pv = run vhdl in
+     let open Obs.Json in
+     let side p =
+       Obj
+         [
+           ("total_energy_pj", Float p.p_total_energy_pj);
+           ("avg_mw", Float p.p_avg_mw);
+           ("peak_mw", Float p.p_peak_mw);
+           ("leakage_mw", Float p.p_leakage_mw);
+           ( "peak_why",
+             match p.p_peak_why with Some s -> String s | None -> Null );
+         ]
+     in
+     let rows =
+       List.sort (fun a b -> compare b.pm_energy_pj a.pm_energy_pj)
+         po.p_by_module
+     in
+     let module_rows rows =
+       List
+         (List.map
+            (fun r ->
+              Obj
+                [
+                  ( "path",
+                    String (if r.pm_path = "" then "<top>" else r.pm_path) );
+                  ("energy_pj", Float r.pm_energy_pj);
+                  ("avg_mw", Float r.pm_avg_mw);
+                  ("toggles", Int r.pm_toggles);
+                ])
+            rows)
+     in
+     let detail =
+       Obj
+         [
+           ("workload", String "expocu_seeded");
+           ("cycles", Int power_cycles);
+           ("lib", String po.p_lib);
+           ("freq_mhz", Float po.p_freq_mhz);
+           ("osss", side po);
+           ("conventional", side pv);
+           ( "energy_ratio",
+             Float
+               (if pv.p_total_energy_pj > 0.0 then
+                  po.p_total_energy_pj /. pv.p_total_energy_pj
+                else 0.0) );
+           ("top_modules", module_rows (List.filteri (fun i _ -> i < 5) rows));
+           ("osss_by_module", module_rows rows);
+         ]
+     in
+     (po, detail))
+
+(* Coverage-instrumented smoke frame: the RTL interpreter carries the
+   full model (toggle bits + FSMs + covergroups + protocol monitor),
+   and the event-driven netlist contributes its per-net toggle bits
+   under the "nl:" prefix, so one DB spans both abstraction levels. *)
+let smoke_cover_db () =
+  let pixels = perf_gate_pixels in
+  let sim = Rtl_sim.create (Expocu.Expocu_top.rtl_top ()) in
+  Rtl_sim.enable_toggle_cover sim;
+  let cp = Expocu.Coverpoints.attach sim in
+  let mon = Expocu.Monitors.expocu_monitor sim in
+  drive_rtl ~pixels sim;
+  Expocu.Coverpoints.sample_frame cp sim;
+  Assert_mon.finish mon;
+  if not (Assert_mon.ok mon) then begin
+    List.iter
+      (fun v -> Format.eprintf "%a@." Assert_mon.pp_violation v)
+      (Assert_mon.violations mon);
+    failwith "smoke coverage run violated a protocol monitor"
+  end;
+  let nl =
+    Backend.Nl_sim.create ~mode:Backend.Nl_sim.Event_driven
+      (Lazy.force gate_netlist)
+  in
+  Backend.Nl_sim.enable_toggle_cover nl;
+  drive_nl ~pixels nl;
+  let tg = function Some tg -> tg | None -> assert false in
+  Cover.Db.make
+    ~toggles:
+      (Cover.Db.toggle_entries ~prefix:"rtl:" (tg (Rtl_sim.toggle_cover sim))
+      @ Cover.Db.toggle_entries ~prefix:"nl:"
+          (tg (Backend.Nl_sim.toggle_cover nl)))
+    ~fsms:(Expocu.Coverpoints.fsms cp)
+    ~groups:(Expocu.Coverpoints.groups cp)
+    ~monitors:(Assert_mon.db_monitors mon)
+    ~run:"bench-smoke" ()
+
+(* Coverage gate: the freshly collected DB must not regress against the
+   checked-in baseline — every item the baseline covered must still be
+   covered (totals may grow, never shrink item-wise). *)
+let cover_gate_check ~baseline db =
+  match Cover.Db.load baseline with
+  | Error e ->
+      Obs.Log.errorf "cover-gate: %s" e;
+      1
+  | Ok base -> (
+      match Cover.Db.diff base db with
+      | [] ->
+          Obs.Log.infof
+            "cover-gate: ok — baseline %s held (%.1f%% toggle coverage now)"
+            baseline
+            (100.0 *. Cover.Db.toggle_coverage db);
+          0
+      | lost ->
+          Obs.Log.errorf "cover-gate: %d items covered in %s are now uncovered:"
+            (List.length lost) baseline;
+          List.iter
+            (fun (kind, item) -> Obs.Log.errorf "  %-9s %s" kind item)
+            lost;
+          1)
+
+(* Campaign wall-clock for the parallel gate: one fault list at jobs=1
+   and jobs=4.  248 faults keep each 4-way shard's 63 lanes (golden +
+   62 faults) inside one machine word, while the serial run packs all
+   249 lanes into four words — equal total gate work either way, so
+   the ratio isolates pool overhead and the host's core count rather
+   than a packing artefact. *)
+let parallel_jobs = 4
+
+let measure_parallel () =
+  let nl = Lazy.force gate_netlist in
+  let faults = random_faults ~seed:0x9A8 248 in
+  let run jobs =
+    snd
+      (timed (fun () ->
+           Backend.Equiv.fault_campaign ~cycles:120 ~drive:hold_reset_released
+             ~shrink:false ~jobs nl faults))
+  in
+  let serial_s = run 1 in
+  (serial_s, run parallel_jobs)
+
+(* Run the behavioural model on the sc_method kernel and the synthesis
+   flow once, so a trace and the histograms also cover those layers. *)
+let run_other_layers () =
+  let beh = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:32 () in
+  if beh.Expocu.Behave_model.kernel_runs = 0 then
+    failwith "bench: behavioural model ran no kernel processes";
+  let flow = Synth.Flow.run Synth.Flow.Osss (Expocu.Sync.osss_module ()) in
+  if flow.Synth.Flow.passes = [] then failwith "bench: flow recorded no passes"
+
+(* Raw (name, count) activity of one netlist and one RTL frame, as
+   [Obs_cli.finish] takes it. *)
+let activity_profiles ev rtl =
+  let rtl_activity = Rtl_sim.process_activity rtl in
+  [
+    ("hot_nets", Backend.Nl_sim.net_activity ev);
+    ("hot_cells", Backend.Nl_sim.cell_activity ev);
+    ("hot_processes", rtl_activity);
+    ("hot_modules", Obs.Profile.by_module rtl_activity);
+  ]
+
+let ranked profiles =
+  List.map (fun (title, raw) -> (title, Obs.Profile.top raw)) profiles
+
+(* BENCH_sim.json: the perf-gate figures plus the event-driven
+   evals/cycle of the full frame (the history ledger's headline
+   count), the hierarchy and power sections the gates read, every
+   histogram, and the full frame's activity profiles.  Wall-clock
+   simulator speed is bench/suite's to measure, not this file's. *)
+let frame_pixels = 256
+
+let bench_json () =
+  Obs.Hist.enable ();
+  Obs.Hist.reset_all ();
+  run_other_layers ();
+  let ev =
+    nl_frame ~profile:true ~mode:Backend.Nl_sim.Event_driven
+      ~pixels:frame_pixels ()
+  in
+  let rtl = rtl_frame ~pixels:frame_pixels () in
+  let perf = measure_perf_gate () in
+  let _, _, _, hierarchy = measure_hierarchy () in
+  let power, power_detail = Lazy.force measure_power in
+  let profiles = activity_profiles ev rtl in
+  let open Obs.Json in
+  let doc =
+    Obj
+      [
+        ("workload", String "expocu_frame");
+        ("pixels", Int frame_pixels);
+        ( "perf_gate",
+          Obj
+            (perf.perf_fields
+            @ [ ("frame_event_evals_per_cycle", Float (evals_per_cycle ev)) ])
+        );
+        ("hierarchy", hierarchy);
+        ("power", power_detail);
+        ("histograms", Obs.Hist.all_to_json ());
+        ( "profiles",
+          Obj
+            (List.map
+               (fun (title, entries) -> (title, Obs.Profile.to_json entries))
+               (ranked profiles)) );
+      ]
+  in
+  save doc "BENCH_sim.json";
+  print_endline (to_string ~pretty:true doc);
+  Obs.Log.info "wrote BENCH_sim.json";
+  (profiles, power)
+
+let read_json path =
+  try
+    Some
+      (Obs.Json.of_string
+         (In_channel.with_open_bin path In_channel.input_all))
+  with _ -> None
+
+let json_number doc keys =
+  List.fold_left
+    (fun acc k -> Option.bind acc (Obs.Json.member k))
+    (Some doc) keys
+  |> Fun.flip Option.bind Obs.Json.number_value
+
+(* CI perf gate, one in-process comparison against the checked-in
+   BENCH_sim.json.  The evals-per-cycle ratio is a deterministic count
+   and may grow at most 20%; the 64-lane per-pattern speedup may fall
+   at most 20% and never under the absolute 10x floor; the warm flow
+   run must hit the lowering cache and take at most 1.2x the cold run;
+   the OSSS dynamic energy on the seeded power workload is
+   deterministic and may grow at most 20% — an optimization that
+   trades area for a hot, always-toggling structure trips it.  On
+   hosts with at least 4 recommended domains the 4-job fault campaign
+   must take at most 0.6x the serial wall-clock (scaling needs real
+   cores).  A baseline missing any figure fails the gate. *)
+let perf_gate_check ~baseline perf (cold_s, warm_s, warm_hits)
+    (power : Synth.Power_dyn.report) =
+  match read_json baseline with
   | None ->
       Obs.Log.errorf "perf-gate: cannot read baseline %s" baseline;
-      exit 1
+      1
   | Some doc -> (
-      let field key =
-        Option.bind (Obs.Json.member "perf_gate" doc) (fun pg ->
-            Option.bind (Obs.Json.member key pg) Obs.Json.number_value)
+      let failures = ref [] in
+      let fail fmt =
+        Printf.ksprintf (fun f -> failures := f :: !failures) fmt
       in
-      match
-        (field "evals_per_cycle_ratio", field "word64_per_pattern_speedup")
-      with
-      | Some base_ratio, Some base_speedup ->
-          let failures = ref [] in
-          if ratio > base_ratio *. 1.2 then
-            failures :=
-              Printf.sprintf
-                "evals_per_cycle_ratio regressed: %.4f, baseline %.4f (+20%% \
-                 tolerance)"
-                ratio base_ratio
-              :: !failures;
-          if speedup < base_speedup *. 0.8 then
-            failures :=
-              Printf.sprintf
-                "word64_per_pattern_speedup regressed: %.1fx, baseline %.1fx \
-                 (-20%% tolerance)"
-                speedup base_speedup
-              :: !failures;
-          if speedup < 10.0 then
-            failures :=
-              Printf.sprintf
-                "word64_per_pattern_speedup %.1fx is under the absolute 10x \
-                 floor"
-                speedup
-              :: !failures;
-          (* Module-cache gate: the warm flow run re-lowers nothing, so
-             it must not be meaningfully slower than the cold run. *)
-          if hier_warm_hits = 0 then
-            failures :=
-              "warm flow run hit the lowering cache 0 times" :: !failures;
-          if hier_warm_s > hier_cold_s *. 1.2 then
-            failures :=
-              Printf.sprintf
-                "warm flow run took %.1f ms against %.1f ms cold (over the \
-                 1.2x tolerance)"
-                (hier_warm_s *. 1000.0) (hier_cold_s *. 1000.0)
-              :: !failures;
-          (* Energy gate: deterministic seeded-stimulus total vs the
-             baseline's power section (older baselines without one skip
-             the check with a warning rather than failing). *)
-          let energy = power_osss.Synth.Power_dyn.p_total_energy_pj in
-          let base_energy =
-            List.fold_left
-              (fun acc k -> Option.bind acc (Obs.Json.member k))
-              (Some doc)
-              [ "power"; "osss"; "total_energy_pj" ]
-            |> Fun.flip Option.bind Obs.Json.number_value
-          in
-          (match base_energy with
-          | Some base when energy > base *. 1.2 ->
-              failures :=
-                Printf.sprintf
-                  "osss dynamic energy regressed: %.1f pJ, baseline %.1f pJ \
-                   (+20%% tolerance)"
-                  energy base
-                :: !failures
-          | Some base ->
-              Obs.Log.infof
-                "perf-gate: energy %.1f pJ within tolerance of baseline \
-                 %.1f pJ"
-                energy base
-          | None ->
-              Obs.Log.infof
-                "perf-gate: baseline %s has no power section; energy gate \
-                 skipped"
-                baseline);
-          (* Parallel gate: the 4-job campaign must finish in at most
-             0.6x the serial wall-clock.  Wall-clock scaling needs real
-             cores, so hosts with fewer than 4 recommended domains skip
-             with a warning — as do baselines predating the parallel
-             section. *)
-          (match
-             Option.bind (Obs.Json.member "parallel" doc) (fun p ->
-                 Obs.Json.member "jobs" p)
-           with
-          | None ->
-              Obs.Log.infof
-                "perf-gate: baseline %s has no parallel section; parallel \
-                 gate skipped"
-                baseline
-          | Some _ ->
-              if Domain.recommended_domain_count () < 4 then
-                Obs.Log.infof
-                  "perf-gate: host recommends %d domains (< 4); parallel \
-                   gate skipped (campaign %.0f ms serial, %.0f ms at 4 jobs)"
-                  (Domain.recommended_domain_count ())
-                  (par_serial_s *. 1000.0) (par_par_s *. 1000.0)
-              else if par_par_s > par_serial_s *. 0.6 then
-                failures :=
-                  Printf.sprintf
-                    "4-job fault campaign took %.0f ms against %.0f ms \
-                     serial (over the 0.6x ceiling)"
-                    (par_par_s *. 1000.0) (par_serial_s *. 1000.0)
-                  :: !failures
-              else
-                Obs.Log.infof
-                  "perf-gate: parallel ok — campaign %.0f ms at 4 jobs vs \
-                   %.0f ms serial (%.1fx)"
-                  (par_par_s *. 1000.0) (par_serial_s *. 1000.0)
-                  (par_serial_s /. par_par_s));
-          (match !failures with
-          | [] ->
-              Obs.Log.infof
-                "perf-gate: ok — ratio %.4f (baseline %.4f), word64 speedup \
-                 %.1fx (baseline %.1fx), warm flow %.1f ms vs %.1f ms cold \
-                 (%d cache hits)"
-                ratio base_ratio speedup base_speedup
-                (hier_warm_s *. 1000.0) (hier_cold_s *. 1000.0) hier_warm_hits
-          | fs ->
-              List.iter (fun f -> Obs.Log.errorf "perf-gate: %s" f) fs;
-              exit 1)
-      | _ ->
-          Obs.Log.errorf "perf-gate: baseline %s has no perf_gate section"
-            baseline;
-          exit 1)
+      let base keys =
+        match json_number doc keys with
+        | Some v -> v
+        | None ->
+            fail "baseline %s has no %s" baseline (String.concat "." keys);
+            nan
+      in
+      let base_ratio = base [ "perf_gate"; "evals_per_cycle_ratio" ] in
+      let base_speedup = base [ "perf_gate"; "word64_per_pattern_speedup" ] in
+      let base_energy = base [ "power"; "osss"; "total_energy_pj" ] in
+      let energy = power.Synth.Power_dyn.p_total_energy_pj in
+      if perf.ratio > base_ratio *. 1.2 then
+        fail "evals_per_cycle_ratio regressed: %.4f, baseline %.4f (+20%% \
+              tolerance)" perf.ratio base_ratio;
+      if perf.speedup < base_speedup *. 0.8 then
+        fail "word64_per_pattern_speedup regressed: %.1fx, baseline %.1fx \
+              (-20%% tolerance)" perf.speedup base_speedup;
+      if perf.speedup < 10.0 then
+        fail "word64_per_pattern_speedup %.1fx is under the absolute 10x floor"
+          perf.speedup;
+      if warm_hits = 0 then fail "warm flow run hit the lowering cache 0 times";
+      if warm_s > cold_s *. 1.2 then
+        fail "warm flow run took %.1f ms against %.1f ms cold (over the 1.2x \
+              tolerance)" (warm_s *. 1000.0) (cold_s *. 1000.0);
+      if energy > base_energy *. 1.2 then
+        fail "osss dynamic energy regressed: %.1f pJ, baseline %.1f pJ (+20%% \
+              tolerance)" energy base_energy;
+      let serial_s, par_s = measure_parallel () in
+      let domains = Domain.recommended_domain_count () in
+      if domains < parallel_jobs then
+        Obs.Log.infof
+          "perf-gate: host recommends %d domains (< %d); parallel gate \
+           skipped (campaign %.0f ms serial, %.0f ms at %d jobs)"
+          domains parallel_jobs (serial_s *. 1000.0) (par_s *. 1000.0)
+          parallel_jobs
+      else if par_s > serial_s *. 0.6 then
+        fail "%d-job fault campaign took %.0f ms against %.0f ms serial (over \
+              the 0.6x ceiling)" parallel_jobs (par_s *. 1000.0)
+          (serial_s *. 1000.0);
+      match List.rev !failures with
+      | [] ->
+          Obs.Log.infof
+            "perf-gate: ok — ratio %.4f (baseline %.4f), word64 speedup \
+             %.1fx (baseline %.1fx), warm flow %.1f ms vs %.1f ms cold (%d \
+             cache hits), energy %.1f pJ (baseline %.1f pJ), campaign %.0f \
+             ms at %d jobs vs %.0f ms serial"
+            perf.ratio base_ratio perf.speedup base_speedup (warm_s *. 1000.0)
+            (cold_s *. 1000.0) warm_hits energy base_energy (par_s *. 1000.0)
+            parallel_jobs (serial_s *. 1000.0);
+          0
+      | fs ->
+          List.iter (Obs.Log.errorf "perf-gate: %s") fs;
+          1)
+
+(* The smoke workload behind `dune build @bench-smoke` and the CI
+   gates: the perf-gate figures, an RTL frame for the process profile,
+   the hierarchy and power measurements, and the coverage DB when a
+   coverage flag or the coverage gate asks for it.  With [json] the
+   schema-versioned run report goes to stdout. *)
+let run_smoke ~json ~cover_gate ~perf_gate obs =
+  let perf = measure_perf_gate () in
+  let rtl = rtl_frame ~pixels:perf_gate_pixels () in
+  let cold_s, warm_s, warm_hits, hierarchy = measure_hierarchy () in
+  let power, power_compare = Lazy.force measure_power in
+  let cover =
+    if Obs_cli.covering obs || cover_gate <> None then Some (smoke_cover_db ())
+    else None
+  in
+  if Obs_cli.tracing obs then run_other_layers ();
+  let profiles = activity_profiles perf.ev rtl in
+  Obs.Log.infof
+    "bench-smoke: %d cycles, gate evals %d (event) vs %d (full), word64 \
+     per-pattern speedup %.1fx (ratio %.3f), rtl process runs %d skips %d"
+    (Backend.Nl_sim.cycles perf.ev)
+    (Backend.Nl_sim.gate_evals perf.ev)
+    (Backend.Nl_sim.gate_evals perf.fl)
+    perf.speedup perf.ratio (Rtl_sim.comb_runs rtl) (Rtl_sim.comb_skips rtl);
+  if json then begin
+    let open Obs.Json in
+    let smoke =
+      Obj
+        [
+          ("workload", String "expocu_frame");
+          ("pixels", Int perf_gate_pixels);
+          ("cycles", Int (Backend.Nl_sim.cycles perf.ev));
+          ("gate_evals_event", Int (Backend.Nl_sim.gate_evals perf.ev));
+          ("gate_evals_full", Int (Backend.Nl_sim.gate_evals perf.fl));
+          ("rtl_process_runs", Int (Rtl_sim.comb_runs rtl));
+          ("rtl_process_skips", Int (Rtl_sim.comb_skips rtl));
+        ]
+    in
+    print_endline
+      (to_string ~pretty:true
+         (Obs.Report.make
+            ?coverage:(Option.map Cover.Db.to_json cover)
+            ~power:(Synth.Power_dyn.to_json power) ~profiles:(ranked profiles)
+            ~extra:
+              [
+                ("smoke", smoke);
+                ("perf_gate", Obj perf.perf_fields);
+                ("hierarchy", hierarchy);
+                (* The schema-shaped power section rides in the report's
+                   own power slot; this extra carries the
+                   OSSS-vs-conventional comparison. *)
+                ("power_compare", power_compare);
+              ]
+            ~run:"bench-smoke" ()))
+  end;
+  Obs_cli.finish obs ~json ~profiles ?cover ~power ~run:"bench-smoke";
+  let perf_rc =
+    match perf_gate with
+    | Some baseline ->
+        perf_gate_check ~baseline perf (cold_s, warm_s, warm_hits) power
+    | None -> 0
+  in
+  let cover_rc =
+    match (cover_gate, cover) with
+    | Some baseline, Some db -> cover_gate_check ~baseline db
+    | _ -> 0
+  in
+  max perf_rc cover_rc
 
 (* One-line performance ledger: append the headline figures of a
    checked-in BENCH_sim.json to bench/history.jsonl, so trend questions
-   ("when did the event-driven ratio move?") are a grep, not an
+   ("when did the event-driven evals/cycle move?") are a grep, not an
    archaeology dig through git history of the full report.  Each line
    is stamped osss.bench-history/v1; --history-check validates a whole
    ledger against that schema. *)
 let history_schema = "osss.bench-history/v1"
 
+let read_lines path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> Some (String.split_on_char '\n' text)
+  | exception Sys_error _ -> None
+
 let append_history ~date ~baseline ~history =
-  let doc =
-    try
-      let ic = open_in_bin baseline in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some (Obs.Json.of_string s)
-    with _ -> None
-  in
-  match doc with
+  match read_json baseline with
   | None ->
       Obs.Log.errorf "append-history: cannot read %s" baseline;
-      exit 1
+      1
   | Some doc -> (
-      let path keys =
-        List.fold_left
-          (fun acc k -> Option.bind acc (Obs.Json.member k))
-          (Some doc) keys
-        |> Fun.flip Option.bind Obs.Json.number_value
-      in
+      let num = json_number doc in
       let workload =
-        match
-          Option.bind (Obs.Json.member "workload" doc) Obs.Json.string_value
-        with
-        | Some w -> w
-        | None -> "expocu_frame"
+        Option.bind (Obs.Json.member "workload" doc) Obs.Json.string_value
+        |> Option.value ~default:"expocu_frame"
       in
       match
-        ( path [ "netlist"; "event_driven"; "evals_per_cycle" ],
-          path [ "perf_gate"; "word64_per_pattern_speedup" ],
-          path [ "hierarchy"; "cold_flow_ms" ] )
+        ( num [ "perf_gate"; "frame_event_evals_per_cycle" ],
+          num [ "perf_gate"; "word64_per_pattern_speedup" ],
+          num [ "hierarchy"; "cold_flow_ms" ] )
       with
       | Some evals, Some speedup, Some flow_ms ->
           (* Energy totals entered the report later; older baselines
              simply omit the power keys. *)
           let power_fields =
             match
-              ( path [ "power"; "osss"; "total_energy_pj" ],
-                path [ "power"; "conventional"; "total_energy_pj" ] )
+              ( num [ "power"; "osss"; "total_energy_pj" ],
+                num [ "power"; "conventional"; "total_energy_pj" ] )
             with
             | Some osss_pj, Some conv_pj ->
                 [
@@ -1902,15 +1385,16 @@ let append_history ~date ~baseline ~history =
             | _ -> []
           in
           let line =
-            Obs.Json.to_string
-              (Obs.Json.Obj
+            let open Obs.Json in
+            to_string
+              (Obj
                  ([
-                    ("schema", Obs.Json.String history_schema);
-                    ("date", Obs.Json.String date);
-                    ("workload", Obs.Json.String workload);
-                    ("evals_per_cycle", Obs.Json.Float evals);
-                    ("word64_speedup", Obs.Json.Float speedup);
-                    ("cold_flow_ms", Obs.Json.Float flow_ms);
+                    ("schema", String history_schema);
+                    ("date", String date);
+                    ("workload", String workload);
+                    ("evals_per_cycle", Float evals);
+                    ("word64_speedup", Float speedup);
+                    ("cold_flow_ms", Float flow_ms);
                   ]
                  @ power_fields))
           in
@@ -1919,70 +1403,49 @@ let append_history ~date ~baseline ~history =
              LAST entry for this workload is consulted — an older
              same-date line (a backfill) is someone's explicit edit. *)
           let last_date_for_workload =
-            try
-              let ic = open_in history in
-              let last = ref None in
-              (try
-                 while true do
-                   let l = input_line ic in
-                   if String.trim l <> "" then
-                     match Obs.Json.of_string l with
-                     | exception Obs.Json.Parse_error _ -> ()
-                     | j ->
-                         let str k =
-                           Option.bind (Obs.Json.member k j)
-                             Obs.Json.string_value
-                         in
-                         if str "workload" = Some workload then
-                           last := str "date"
-                 done
-               with End_of_file -> ());
-              close_in ic;
-              !last
-            with Sys_error _ -> None
+            List.fold_left
+              (fun last l ->
+                match Obs.Json.of_string l with
+                | exception Obs.Json.Parse_error _ -> last
+                | j ->
+                    let str k =
+                      Option.bind (Obs.Json.member k j) Obs.Json.string_value
+                    in
+                    if str "workload" = Some workload then str "date" else last)
+              None
+              (List.filter
+                 (fun l -> String.trim l <> "")
+                 (Option.value ~default:[] (read_lines history)))
           in
           if last_date_for_workload = Some date then begin
             Obs.Log.errorf
               "append-history: %s already ends with a %s entry for %s — \
                refusing the duplicate"
               history date workload;
-            exit 1
-          end;
-          let oc =
-            open_out_gen [ Open_append; Open_creat ] 0o644 history
-          in
-          output_string oc (line ^ "\n");
-          close_out oc;
-          Obs.Log.infof "append-history: %s >> %s" line history;
-          exit 0
+            1
+          end
+          else begin
+            Out_channel.with_open_gen
+              [ Open_append; Open_creat ] 0o644 history (fun oc ->
+                output_string oc (line ^ "\n"));
+            Obs.Log.infof "append-history: %s >> %s" line history;
+            0
+          end
       | _ ->
           Obs.Log.errorf
             "append-history: %s is missing the expected sections" baseline;
-          exit 1)
+          1)
 
 (* Validate every line of a bench-history ledger: parseable JSON,
    the v1 stamp, a date, and numeric headline figures.  CI runs this
    against the checked-in bench/history.jsonl so the ledger stays
    greppable. *)
 let history_check ~history =
-  let lines =
-    try
-      let ic = open_in history in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      Some (go [])
-    with Sys_error _ -> None
-  in
-  match lines with
+  match read_lines history with
   | None ->
       Obs.Log.errorf "history-check: cannot read %s" history;
-      exit 1
-  | Some lines ->
+      1
+  | Some lines -> (
       let check_line i line =
         if String.trim line = "" then None
         else
@@ -2019,297 +1482,162 @@ let history_check ~history =
       let errors =
         List.concat
           (List.mapi
-             (fun i line ->
-               Option.to_list (check_line (i + 1) line))
+             (fun i line -> Option.to_list (check_line (i + 1) line))
              lines)
       in
       let entries =
         List.length (List.filter (fun l -> String.trim l <> "") lines)
       in
-      (match errors with
+      match errors with
       | [] ->
           Printf.printf "%s: ok (%d entries, schema %s)\n" history entries
             history_schema;
-          exit 0
+          0
       | es ->
           List.iter (fun e -> Obs.Log.errorf "history-check: %s" e) es;
-          exit 1)
+          1)
 
-let () =
-  let o =
-    {
-      smoke = false;
-      json = false;
-      profile = false;
-      lanes = None;
-      trace_out = None;
-      stats_json = None;
-      check_report = None;
-      cover_out = None;
-      cover_summary = false;
-      cover_merge = None;
-      cover_gate = None;
-      perf_gate = None;
-      append_history = None;
-      history_check = None;
-      power_out = None;
-      power_summary = false;
-      jobs = None;
-      ids = [];
-    }
+(* Validate a run report: the in-repo schema check CI runs against a
+   report produced moments earlier.  A coverage section must not
+   merely look like a coverage DB — it has to parse back as one. *)
+let check_report file =
+  match Obs.Report.validate_file file with
+  | Error e ->
+      Obs.Log.errorf "%s: invalid run report: %s" file e;
+      1
+  | Ok () -> (
+      match Option.bind (read_json file) (Obs.Json.member "coverage") with
+      | None ->
+          Printf.printf "%s: valid (no coverage section)\n" file;
+          0
+      | Some c -> (
+          match Cover.Db.of_json c with
+          | Ok db ->
+              Printf.printf "%s: valid, coverage %d/%d toggle bits\n" file
+                (Cover.Db.totals db).Cover.Db.toggle_covered
+                (Cover.Db.totals db).Cover.Db.toggle_bits;
+              0
+          | Error e ->
+              Obs.Log.errorf "%s: coverage section: %s" file e;
+              1))
+
+let run_experiments ids obs =
+  let find id = List.assoc_opt (String.lowercase_ascii id) experiments in
+  match List.filter (fun id -> find id = None) ids with
+  | _ :: _ as unknown ->
+      List.iter (Obs.Log.errorf "unknown experiment %s") unknown;
+      Printf.eprintf "valid experiments: %s\n"
+        (String.concat " " (List.map fst experiments));
+      2
+  | [] ->
+      let selected =
+        match ids with
+        | [] -> experiments
+        | ids -> List.map (fun id -> (id, Option.get (find id))) ids
+      in
+      Printf.printf
+        "OSSS evaluation reproduction — experiments from Bannow & Haug, DATE \
+         2004\n";
+      List.iter (fun (_, f) -> f ()) selected;
+      Obs_cli.finish obs ~run:"bench";
+      0
+
+let main smoke json check_report_file cover_gate perf_gate append_date
+    history_file ids obs =
+  let refuse msg =
+    Obs.Log.error msg;
+    2
   in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        o.smoke <- true;
-        parse rest
-    | "--json" :: rest ->
-        o.json <- true;
-        parse rest
-    | "--profile" :: rest ->
-        o.profile <- true;
-        parse rest
-    | "--lanes" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            o.lanes <- Some n;
-            parse rest
-        | Some _ | None ->
-            Obs.Log.errorf "--lanes expects a positive integer, got %s" n;
-            usage ())
-    | "--perf-gate" :: file :: rest ->
-        o.perf_gate <- Some file;
-        parse rest
-    | "--append-history" :: date :: rest ->
-        o.append_history <- Some date;
-        parse rest
-    | "--history-check" :: file :: rest ->
-        o.history_check <- Some file;
-        parse rest
-    | "--power-out" :: file :: rest ->
-        o.power_out <- Some file;
-        parse rest
-    | "--power-summary" :: rest ->
-        o.power_summary <- true;
-        parse rest
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            o.jobs <- Some n;
-            parse rest
-        | Some _ | None ->
-            Obs.Log.errorf "--jobs expects a positive integer, got %s" n;
-            usage ())
-    | "--trace-out" :: file :: rest ->
-        o.trace_out <- Some file;
-        parse rest
-    | "--stats-json" :: file :: rest ->
-        o.stats_json <- Some file;
-        parse rest
-    | "--check-report" :: file :: rest ->
-        o.check_report <- Some file;
-        parse rest
-    | "--cover-out" :: file :: rest ->
-        o.cover_out <- Some file;
-        parse rest
-    | "--cover-summary" :: rest ->
-        o.cover_summary <- true;
-        parse rest
-    | "--cover-merge" :: a :: b :: rest ->
-        o.cover_merge <- Some (a, b);
-        parse rest
-    | "--cover-gate" :: file :: rest ->
-        o.cover_gate <- Some file;
-        parse rest
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-        Obs.Log.errorf "unknown or incomplete option %s" arg;
-        usage ()
-    | id :: rest ->
-        o.ids <- id :: o.ids;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* Campaign parallelism: every ?jobs default in the process follows
-     this ([Par.default_jobs]); jobs=1 runs the serial code paths. *)
-  (match o.jobs with Some j -> Par.set_default_jobs j | None -> ());
-  (* --append-history summarizes a checked-in baseline and exits; the
-     baseline defaults to BENCH_sim.json but follows --perf-gate. *)
-  (match o.append_history with
-  | Some date ->
+  match (append_date, history_file, Obs_cli.merge_requested obs) with
+  | Some date, _, _ ->
+      (* The summarized baseline follows --perf-gate. *)
       append_history ~date
-        ~baseline:(Option.value o.perf_gate ~default:"BENCH_sim.json")
+        ~baseline:(Option.value perf_gate ~default:"BENCH_sim.json")
         ~history:"bench/history.jsonl"
-  | None -> ());
-  (* --history-check validates the ledger and exits. *)
-  (match o.history_check with
-  | Some file -> history_check ~history:file
-  | None -> ());
-  (* --cover-merge unions two coverage DBs and exits: CI merges the
-     per-seed databases into the uploaded artifact with this. *)
-  (match o.cover_merge with
-  | Some (a, b) -> (
-      match (Cover.Db.load a, Cover.Db.load b) with
-      | Ok da, Ok db ->
-          let merged = Cover.Db.merge da db in
-          (match o.cover_out with
-          | Some path ->
-              Cover.Db.save merged path;
-              Obs.Log.infof "merged coverage written to %s" path
-          | None -> ());
-          if o.cover_summary || o.cover_out = None then
-            print_string (Cover.Db.summary merged);
-          exit 0
-      | (Error e, _ | _, Error e) ->
-          Obs.Log.errorf "cover-merge: %s" e;
-          exit 1)
-  | None -> ());
-  (* --check-report validates and exits: the in-repo schema check CI
-     runs against a report produced moments earlier.  A coverage
-     section must not merely look like a coverage DB — it has to parse
-     back as one. *)
-  (match o.check_report with
-  | Some file -> (
-      match Obs.Report.validate_file file with
-      | Error e ->
-          Obs.Log.errorf "%s: invalid run report: %s" file e;
-          exit 1
-      | Ok () -> (
-          let doc =
-            let ic = open_in_bin file in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Obs.Json.of_string s
-          in
-          match Obs.Json.member "coverage" doc with
-          | None ->
-              Printf.printf "%s: valid (no coverage section)\n" file;
-              exit 0
-          | Some c -> (
-              match Cover.Db.of_json c with
-              | Ok db ->
-                  Printf.printf "%s: valid, coverage %d/%d toggle bits\n" file
-                    (Cover.Db.totals db).Cover.Db.toggle_covered
-                    (Cover.Db.totals db).Cover.Db.toggle_bits;
-                  exit 0
-              | Error e ->
-                  Obs.Log.errorf "%s: coverage section: %s" file e;
-                  exit 1)))
-  | None -> ());
-  let tracing = o.trace_out <> None || o.stats_json <> None in
-  if tracing then begin
-    Obs.Span.enable ();
-    Obs.Hist.enable ()
-  end;
-  let covering =
-    o.cover_out <> None || o.cover_summary || o.cover_gate <> None
+  | None, Some history, _ -> history_check ~history
+  | None, None, Some pair -> Obs_cli.run_merge obs pair
+  | None, None, None -> (
+      match check_report_file with
+      | Some file -> check_report file
+      | None ->
+          if (Obs_cli.covering obs || cover_gate <> None) && not smoke then
+            refuse
+              "coverage collection is attached to the smoke workload; add \
+               --smoke"
+          else if perf_gate <> None && not smoke then
+            refuse "--perf-gate is attached to the smoke workload; add --smoke"
+          else if Obs_cli.powering obs && not (smoke || json) then
+            refuse
+              "power collection is attached to the smoke/json workloads; add \
+               --smoke or --json"
+          else begin
+            Obs_cli.setup obs;
+            if smoke then run_smoke ~json ~cover_gate ~perf_gate obs
+            else if json then begin
+              let profiles, power = bench_json () in
+              Obs_cli.finish obs ~json ~profiles ~power ~run:"bench";
+              0
+            end
+            else run_experiments ids obs
+          end)
+
+open Cmdliner
+
+let smoke_arg =
+  let doc =
+    "Run the small smoke workload behind the CI gates (perf-gate figures, \
+     hierarchy, power, coverage) instead of the experiments."
   in
-  if covering && not o.smoke then begin
-    Obs.Log.error
-      "coverage collection is attached to the smoke workload; add --smoke";
-    exit 2
-  end;
-  if o.perf_gate <> None && not o.smoke then begin
-    Obs.Log.error "--perf-gate is attached to the smoke workload; add --smoke";
-    exit 2
-  end;
-  let powering = o.power_out <> None || o.power_summary in
-  if powering && not (o.smoke || o.json) then begin
-    Obs.Log.error
-      "power collection is attached to the smoke/json workloads; add --smoke \
-       or --json";
-    exit 2
-  end;
-  (* Exports shared by the smoke and full-json paths: the OSSS power
-     report's VCD waveform and human summary.  In --json mode stdout
-     must stay pure JSON, so the summary goes to stderr. *)
-  let export_power (po : Synth.Power_dyn.report) =
-    (match o.power_out with
-    | Some path ->
-        Synth.Power_dyn.save_vcd po path;
-        Obs.Log.infof "power waveform written to %s" path
-    | None -> ());
-    if o.power_summary then
-      (if o.json then prerr_string else print_string)
-        (Synth.Power_dyn.summary po)
+  Arg.(value & flag & info [ "smoke" ] ~doc)
+
+let json_arg =
+  let doc =
+    "With --smoke, print the schema-versioned run report on stdout; alone, \
+     write BENCH_sim.json and print it.  Human-readable tables go to stderr."
   in
-  let collected = ref None in
-  let power_report = ref None in
-  if o.smoke then begin
-    let extra, profiles, gate_vals, hier_vals, power_osss, par_vals =
-      bench_smoke ~profile:(o.profile || o.json) ()
-    in
-    power_report := Some power_osss;
-    if powering then export_power power_osss;
-    (match o.perf_gate with
-    | Some baseline ->
-        perf_gate_check ~baseline gate_vals hier_vals power_osss par_vals
-    | None -> ());
-    if covering then begin
-      let db = smoke_cover_db ~pixels:32 () in
-      collected := Some db;
-      (match o.cover_out with
-      | Some path ->
-          Cover.Db.save db path;
-          Obs.Log.infof "coverage database written to %s" path
-      | None -> ());
-      (* In --json mode stdout must stay pure JSON (CI pipes it into
-         --check-report), so the human-readable summary goes to stderr. *)
-      if o.cover_summary then
-        (if o.json then prerr_string else print_string)
-          (Cover.Db.summary db);
-      match o.cover_gate with
-      | Some baseline -> cover_gate ~baseline db
-      | None -> ()
-    end;
-    if tracing then cover_traced_layers ();
-    if o.json then
-      print_endline
-        (Obs.Json.to_string ~pretty:true
-           (Obs.Report.make
-              ?coverage:(Option.map Cover.Db.to_json !collected)
-              ?power:(Option.map Synth.Power_dyn.to_json !power_report)
-              ~profiles ~extra ~run:"bench-smoke" ()))
-  end
-  else if o.json then begin
-    bench_json ~profile:o.profile ~lanes:o.lanes ();
-    if powering then begin
-      let po, _, _ = Lazy.force measure_power in
-      power_report := Some po;
-      export_power po
-    end
-  end
-  else begin
-    let find id = List.assoc_opt (String.lowercase_ascii id) experiments in
-    (match List.filter (fun id -> find id = None) (List.rev o.ids) with
-    | [] -> ()
-    | unknown ->
-        List.iter (Obs.Log.errorf "unknown experiment %s") unknown;
-        Printf.eprintf "valid experiments: %s\n"
-          (String.concat " " (List.map fst experiments));
-        exit 2);
-    let selected =
-      match List.rev o.ids with
-      | [] -> experiments
-      | ids -> List.map (fun id -> (id, Option.get (find id))) ids
-    in
-    Printf.printf
-      "OSSS evaluation reproduction — experiments from Bannow & Haug, DATE \
-       2004\n";
-    List.iter (fun (_, f) -> f ()) selected
-  end;
-  (match o.stats_json with
-  | Some path ->
-      let run = if o.smoke then "bench-smoke" else "bench" in
-      Obs.Json.save
-        (Obs.Report.make
-           ?coverage:(Option.map Cover.Db.to_json !collected)
-           ?power:(Option.map Synth.Power_dyn.to_json !power_report)
-           ~run ())
-        path;
-      Obs.Log.infof "run report written to %s" path
-  | None -> ());
-  match o.trace_out with
-  | Some path ->
-      Obs.Span.save_chrome path;
-      Obs.Log.infof "chrome trace written to %s" path
-  | None -> ()
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let string_opt name ~docv doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let check_report_arg =
+  string_opt "check-report" ~docv:"FILE"
+    "Validate the run report $(docv) (and its coverage section) and exit."
+
+let cover_gate_arg =
+  string_opt "cover-gate" ~docv:"BASELINE"
+    "With --smoke, fail if any item covered in the coverage database \
+     $(docv) is now uncovered."
+
+let perf_gate_arg =
+  string_opt "perf-gate" ~docv:"BASELINE"
+    "With --smoke, fail if the perf figures, the warm-cache flow run, the \
+     OSSS dynamic energy or the parallel campaign regress against the \
+     BENCH_sim.json $(docv)."
+
+let append_history_arg =
+  string_opt "append-history" ~docv:"DATE"
+    "Append the headline figures of BENCH_sim.json (or of the --perf-gate \
+     baseline) to bench/history.jsonl, stamped $(docv), and exit."
+
+let history_check_arg =
+  string_opt "history-check" ~docv:"FILE"
+    "Validate every line of the bench-history ledger $(docv) and exit."
+
+let ids_arg =
+  let doc =
+    "Experiments to run (default: all): "
+    ^ String.concat ", " (List.map fst experiments)
+    ^ "."
+  in
+  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+
+let cmd =
+  let doc = "reproduce the paper's experiments and run the CI gates" in
+  Cmd.v (Cmd.info "bench" ~doc)
+    Term.(
+      const main $ smoke_arg $ json_arg $ check_report_arg $ cover_gate_arg
+      $ perf_gate_arg $ append_history_arg $ history_check_arg $ ids_arg
+      $ Obs_cli.term)
+
+let () = exit (Cmd.eval' cmd)

@@ -196,7 +196,7 @@ let report name show_metrics show_systemc show_passes flow_name json coverage
                 exit 1)
         | None -> ()
       end;
-      Obs_cli.finish obs ~run:"design_report" ?power:!flow_power;
+      Obs_cli.finish obs ~json ~run:"design_report" ?power:!flow_power;
       0
 
 let design_arg =

@@ -95,7 +95,8 @@ let synthesize name flow_name out_dir emit_artifacts no_fold layout cec json
             1
         | None -> 0
       in
-      Obs_cli.finish obs ~run:"osss_synth" ?power:result.Synth.Flow.power;
+      Obs_cli.finish obs ~json ~run:"osss_synth"
+        ?power:result.Synth.Flow.power;
       rc
 
 let design_arg =

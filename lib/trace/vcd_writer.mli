@@ -1,10 +1,10 @@
 (** Shared value-change-dump document builder.
 
     One VCD writer backs every trace front end in the repository — the
-    kernel-level [Sim.Vcd], the RTL-level [Hdl.Rtl_trace] and the
-    engine-level [Engine.Trace] — so all abstraction levels produce
-    the same document structure and can be diffed in one waveform
-    viewer.  The writer knows nothing about simulators: callers
+    RTL-level [Hdl.Rtl_trace] and the engine-level [Engine.Trace], which
+    also traces kernel-level models through [Sim.Kernel_engine] — so
+    all abstraction levels produce the same document structure and can
+    be diffed in one waveform viewer.  The writer knows nothing about simulators: callers
     register signals (optionally grouped into sub-scopes), then report
     value changes against a monotonically non-decreasing timestamp. *)
 

@@ -66,19 +66,40 @@ let test_adapter_kinds () =
   Engine.set_input_int e "x" 42;
   Alcotest.(check int) "input echo" 42 (Engine.get_int e "x")
 
+let check_lockstep ~cycles factories =
+  match E.differential ~cycles factories with
+  | Ok n -> Alcotest.(check int) "cycles compared" cycles n
+  | Error d -> Alcotest.failf "%a" E.pp_divergence d
+
+(* The ExpoCU at RTL against its gate netlist under every scheduling:
+   event-driven, full evaluation and 8 word-parallel lanes under
+   broadcast stimulus (Engine.get reads the golden lane 0). *)
+let expocu_netlist = lazy (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
+
+let expocu_factories () =
+  let nl = Lazy.force expocu_netlist in
+  [
+    (fun () ->
+      Rtl_engine.create ~label:"rtl:expocu" (Expocu.Expocu_top.rtl_top ()));
+    (fun () ->
+      Backend.Nl_engine.create ~label:"gates:event"
+        ~mode:Backend.Nl_sim.Event_driven nl);
+    (fun () ->
+      Backend.Nl_engine.create ~label:"gates:full"
+        ~mode:Backend.Nl_sim.Full_eval nl);
+    (fun () -> Backend.Nl_engine.create ~label:"gates:word" ~lanes:8 nl);
+  ]
+
 let test_three_level_lockstep () =
   let design = acc_design () in
   let nl = Backend.Opt.optimize (Backend.Lower.lower design) in
-  match
-    E.differential ~cycles:300
-      [
-        (fun () -> behavioural_acc ~label:"beh:acc" ());
-        (fun () -> Rtl_engine.create ~label:"rtl:acc" design);
-        (fun () -> Backend.Nl_engine.create ~label:"gates:acc" nl);
-      ]
-  with
-  | Ok n -> Alcotest.(check int) "cycles compared" 300 n
-  | Error d -> Alcotest.failf "%a" E.pp_divergence d
+  check_lockstep ~cycles:300
+    [
+      (fun () -> behavioural_acc ~label:"beh:acc" ());
+      (fun () -> Rtl_engine.create ~label:"rtl:acc" design);
+      (fun () -> Backend.Nl_engine.create ~label:"gates:acc" nl);
+    ];
+  check_lockstep ~cycles:200 (expocu_factories ())
 
 let test_fault_injection_shrinks () =
   let design = acc_design () in
@@ -90,7 +111,7 @@ let test_fault_injection_shrinks () =
           (Rtl_engine.create ~label:"faulty" design));
     ]
   in
-  match E.differential ~cycles:200 factories with
+  (match E.differential ~cycles:200 factories with
   | Ok _ -> Alcotest.fail "seeded fault not detected"
   | Error d ->
       Alcotest.(check string) "port" "y" d.E.first.E.port;
@@ -102,7 +123,24 @@ let test_fault_injection_shrinks () =
       Alcotest.(check int) "shrunk window" 25 (Array.length d.E.window);
       (match d.E.replay with
       | Some m -> Alcotest.(check string) "replay port" "y" m.E.port
-      | None -> Alcotest.fail "reproducer window does not replay")
+      | None -> Alcotest.fail "reproducer window does not replay"));
+  (* A fault armed from cycle 0 on an ExpoCU gate engine, next to the
+     clean engines at every level, shrinks to a one-cycle window. *)
+  match
+    E.differential ~cycles:200
+      (expocu_factories ()
+      @ [
+          (fun () ->
+            Engine.inject_fault ~port:"frame_done"
+              (Backend.Nl_engine.create ~label:"gates:seeded-fault"
+                 (Lazy.force expocu_netlist)));
+        ])
+  with
+  | Ok _ -> Alcotest.fail "seeded expocu fault not detected"
+  | Error d ->
+      Alcotest.(check string) "expocu port" "frame_done" d.E.first.E.port;
+      Alcotest.(check int) "expocu window shrunk to one cycle" 1
+        (Array.length d.E.window)
 
 (* y = a AND b, and a hand-corrupted netlist computing OR instead. *)
 let and_design () =

@@ -104,15 +104,15 @@ let test_nested_map () =
 (* ------------------------------------------------------------------ *)
 (* Sharded fault campaign determinism                                  *)
 
-let test_campaign_jobs_identity () =
-  let nl = Backend.Lower.lower (counter_design ()) in
-  let count = List.assoc "count" (N.outputs nl) in
-  let faults =
-    List.init 6 (fun i ->
-        { Backend.Equiv.fault_net = count.(i); stuck_at = i mod 2 = 0 })
-  in
+let expocu_netlist = lazy (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
+
+(* ExpoCU stimulus for the campaign workloads: random except that
+   ext_reset stays released, so faults and toggles propagate. *)
+let expocu_drive _ (name, r) = if name = "ext_reset" then Bitvec.zero 1 else r
+
+let check_campaign_identity ?drive ?seed ~cycles nl faults =
   let run jobs =
-    Backend.Equiv.fault_campaign ~cycles:300 ~seed:7 ~shrink:false ~jobs nl
+    Backend.Equiv.fault_campaign ~cycles ?seed ?drive ~shrink:false ~jobs nl
       faults
   in
   let serial = run 1 and par = run 4 in
@@ -129,10 +129,27 @@ let test_campaign_jobs_identity () =
     serial.Backend.Equiv.campaign_cycles par.Backend.Equiv.campaign_cycles;
   Alcotest.(check (list int))
     "lanes are campaign-global positions"
-    (List.init 6 (fun i -> i + 1))
+    (List.init (List.length faults) (fun i -> i + 1))
     (List.map
        (fun (r : Backend.Equiv.fault_result) -> r.lane)
        par.Backend.Equiv.fault_results)
+
+let test_campaign_jobs_identity () =
+  let nl = Backend.Lower.lower (counter_design ()) in
+  let count = List.assoc "count" (N.outputs nl) in
+  check_campaign_identity ~cycles:300 ~seed:7 nl
+    (List.init 6 (fun i ->
+         { Backend.Equiv.fault_net = count.(i); stuck_at = i mod 2 = 0 }));
+  (* 248 random stuck-ats on the ExpoCU: 62 per 4-way shard, so each
+     shard fills one machine word while the serial run spans four. *)
+  let nl = Lazy.force expocu_netlist in
+  let rng = Random.State.make [| 0x9A8 |] in
+  check_campaign_identity ~cycles:120 ~drive:expocu_drive nl
+    (List.init 248 (fun _ ->
+         {
+           Backend.Equiv.fault_net = Random.State.int rng (N.net_count nl);
+           stuck_at = Random.State.bool rng;
+         }))
 
 let test_campaign_shrunk_identity () =
   (* With shrinking on, the reproducer windows must also match across
@@ -173,15 +190,19 @@ let test_campaign_shrunk_identity () =
 (* ------------------------------------------------------------------ *)
 (* Multi-seed coverage merge determinism                               *)
 
-let cover_db_for_seed nl seed =
+let cover_db_for_seed ~reset ~pixels nl seed =
   let sim = Backend.Nl_sim.create nl in
   Backend.Nl_sim.enable_toggle_cover sim;
   let rng = Random.State.make [| seed |] in
-  Backend.Nl_sim.set_input_int sim "reset" 1;
+  Backend.Nl_sim.set_input_int sim reset 1;
   Backend.Nl_sim.step sim;
   for _ = 1 to 50 do
-    Backend.Nl_sim.set_input_int sim "reset"
+    Backend.Nl_sim.set_input_int sim reset
       (if Random.State.int rng 8 = 0 then 1 else 0);
+    List.iter
+      (fun port ->
+        Backend.Nl_sim.set_input_int sim port (Random.State.int rng 256))
+      pixels;
     Backend.Nl_sim.step sim
   done;
   let tg =
@@ -194,44 +215,52 @@ let cover_db_for_seed nl seed =
     ~run:(Printf.sprintf "seed%d" seed) ()
 
 let test_multi_seed_cover_identity () =
-  let nl = Backend.Lower.lower (counter_design ()) in
-  let seeds = [ 0; 1; 2; 3; 4; 5 ] in
-  let merged jobs =
-    match Par.map_list ~jobs (cover_db_for_seed nl) seeds with
-    | [] -> assert false
-    | d :: rest -> List.fold_left Cover.Db.merge d rest
+  let check ~reset ~pixels nl seeds =
+    let merged jobs =
+      match Par.map_list ~jobs (cover_db_for_seed ~reset ~pixels nl) seeds with
+      | [] -> assert false
+      | d :: rest -> List.fold_left Cover.Db.merge d rest
+    in
+    let s = Obs.Json.to_string (Cover.Db.to_json (merged 1)) in
+    let p = Obs.Json.to_string (Cover.Db.to_json (merged 4)) in
+    Alcotest.(check string) "merged coverage DB byte-identical" s p
   in
-  let s = Obs.Json.to_string (Cover.Db.to_json (merged 1)) in
-  let p = Obs.Json.to_string (Cover.Db.to_json (merged 4)) in
-  Alcotest.(check string) "merged coverage DB byte-identical" s p
+  check ~reset:"reset" ~pixels:[]
+    (Backend.Lower.lower (counter_design ()))
+    [ 0; 1; 2; 3; 4; 5 ];
+  check ~reset:"ext_reset" ~pixels:[ "pixel"; "target_bin" ]
+    (Lazy.force expocu_netlist) [ 0; 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential sweep                                                  *)
 
-let test_differential_sweep () =
-  let design = counter_design () in
-  let nl = Backend.Lower.lower design in
+let check_sweep ~cycles ~seeds make_design nl =
   let factories =
     [
-      (fun () -> Rtl_engine.create ~label:"rtl" design);
+      (fun () -> Rtl_engine.create ~label:"rtl" (make_design ()));
       (fun () -> Backend.Nl_engine.create ~label:"gates" nl);
     ]
   in
   let results =
-    Backend.Equiv.differential_sweep ~cycles:60 ~jobs:4
-      ~seeds:[ 11; 12; 13; 14 ] factories
+    Backend.Equiv.differential_sweep ~cycles ~jobs:4 ~seeds factories
   in
-  Alcotest.(check (list int))
-    "results in seed order" [ 11; 12; 13; 14 ]
+  Alcotest.(check (list int)) "results in seed order" seeds
     (List.map fst results);
   List.iter
     (fun (seed, r) ->
       match r with
-      | Ok n -> Alcotest.(check int) (Printf.sprintf "seed %d cycles" seed) 60 n
+      | Ok n ->
+          Alcotest.(check int) (Printf.sprintf "seed %d cycles" seed) cycles n
       | Error d ->
           Alcotest.failf "seed %d diverged: %a" seed
             Backend.Equiv.pp_divergence d)
     results
+
+let test_differential_sweep () =
+  check_sweep ~cycles:60 ~seeds:[ 11; 12; 13; 14 ] counter_design
+    (Backend.Lower.lower (counter_design ()));
+  check_sweep ~cycles:100 ~seeds:[ 42; 43; 44; 45 ] Expocu.Expocu_top.rtl_top
+    (Lazy.force expocu_netlist)
 
 let test_differential_sweep_divergence () =
   let design = counter_design () in

@@ -189,21 +189,15 @@ let test_stuck_at_multiword () =
     "faulty lanes across words detected" [ 1; 64; 68 ]
     (Ws.diverging_lanes w "count")
 
-let test_fault_campaign () =
-  let nl = Backend.Lower.lower (counter_design ()) in
-  let count = List.assoc "count" (N.outputs nl) in
-  let faults =
-    [
-      { Backend.Equiv.fault_net = count.(0); stuck_at = true };
-      { Backend.Equiv.fault_net = count.(2); stuck_at = false };
-    ]
-  in
-  let c = Backend.Equiv.fault_campaign ~cycles:300 ~seed:7 nl faults in
-  Alcotest.(check int) "faults simulated" 2 c.Backend.Equiv.faults_total;
-  Alcotest.(check int) "all faults detected" 2 c.Backend.Equiv.faults_detected;
+let check_campaign ~cycles ?seed nl faults =
+  let c = Backend.Equiv.fault_campaign ~cycles ?seed nl faults in
+  Alcotest.(check int) "faults simulated" (List.length faults)
+    c.Backend.Equiv.faults_total;
+  Alcotest.(check int) "all faults detected" (List.length faults)
+    c.Backend.Equiv.faults_detected;
   Alcotest.(check bool)
     "campaign stops early" true
-    (c.Backend.Equiv.campaign_cycles <= 300);
+    (c.Backend.Equiv.campaign_cycles <= cycles);
   List.iter
     (fun (r : Backend.Equiv.fault_result) ->
       (match r.detected_at with
@@ -222,6 +216,22 @@ let test_fault_campaign () =
             "shrunk window replays" true
             (d.Backend.Equiv.replay <> None))
     c.Backend.Equiv.fault_results
+
+let test_fault_campaign () =
+  let nl = Backend.Lower.lower (counter_design ()) in
+  let count = List.assoc "count" (N.outputs nl) in
+  check_campaign ~cycles:300 ~seed:7 nl
+    [
+      { Backend.Equiv.fault_net = count.(0); stuck_at = true };
+      { Backend.Equiv.fault_net = count.(2); stuck_at = false };
+    ];
+  (* A stuck-at-1 on the ExpoCU's frame_done output net, observed
+     against the golden lane and handed back as a replaying
+     reproducer. *)
+  let expocu = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
+  let frame_done = (List.assoc "frame_done" (N.outputs expocu)).(0) in
+  check_campaign ~cycles:120 expocu
+    [ { Backend.Equiv.fault_net = frame_done; stuck_at = true } ]
 
 let test_word_engine () =
   let nl = Backend.Lower.lower (counter_design ()) in
@@ -280,7 +290,46 @@ let test_lane_cover () =
     (Cover.Toggle.covered (cov 1));
   Alcotest.(check bool)
     "held lane covers strictly less" true
-    (Cover.Toggle.covered (cov 2) < Cover.Toggle.covered (cov 0))
+    (Cover.Toggle.covered (cov 2) < Cover.Toggle.covered (cov 0));
+  (* The ExpoCU with a distinct pixel stream per lane (lane l offsets
+     the stream by l*17): the union over the lanes covers at least as
+     much as any single lane. *)
+  let lanes = 4 in
+  let w =
+    Ws.create ~lanes (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))
+  in
+  Ws.enable_toggle_cover w;
+  Ws.set_input_int w "target_bin" 7;
+  for i = 0 to 80 do
+    Ws.set_input_int w "frame_sync" (if i >= 15 then 1 else 0);
+    Ws.set_input_int w "line_valid" (if i >= 19 then 1 else 0);
+    Ws.set_input_packed w "pixel"
+      (Array.init 8 (fun b ->
+           Bitvec.init lanes (fun l ->
+               (((i * 53) + (l * 17)) mod 256) lsr b land 1 = 1)));
+    Ws.step w
+  done;
+  let covs =
+    List.init lanes (fun l ->
+        match Ws.lane_cover w l with
+        | Some c -> c
+        | None -> Alcotest.failf "expocu lane %d has no collector" l)
+  in
+  let union =
+    List.length
+      (List.filter
+         (fun i ->
+           let any f = List.exists (fun c -> f c i > 0) covs in
+           any Cover.Toggle.rises && any Cover.Toggle.falls)
+         (List.init (Cover.Toggle.bits (List.hd covs)) Fun.id))
+  in
+  List.iteri
+    (fun l c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "union covers expocu lane %d" l)
+        true
+        (Cover.Toggle.covered c > 0 && union >= Cover.Toggle.covered c))
+    covs
 
 (* Bitvec.transpose is an involution on rectangular arrays. *)
 let prop_transpose =
