@@ -407,6 +407,10 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+let median xs =
+  let a = Array.of_list (List.sort compare xs) in
+  a.(Array.length a / 2)
+
 (* ------------------------------------------------------------------ *)
 (* E6: simulation speed across abstraction levels                      *)
 
@@ -414,60 +418,43 @@ let behavioural_frame_sim () =
   let r = Expocu.Behave_model.run ~frames:1 ~pixels_per_frame:256 () in
   r.Expocu.Behave_model.sim_cycles
 
-let measure_ns tests =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.6) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"sim" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.fold
-    (fun name ols acc ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> (name, est) :: acc
-      | Some [] | None -> acc)
-    results []
+(* Rounds of E6: each round times one frame per level back to back, so
+   host load drifting during the run hits every level of a round alike;
+   the figures are medians over the rounds, after one warm-up round. *)
+let e6_rounds = 15
 
 let e6 () =
   section "e6"
     "Simulation speed per abstraction level (paper: behavioural SystemC \
      much faster than conventional RTL simulators)";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"behavioural"
-        (Staged.stage (fun () -> behavioural_frame_sim ()));
-      Test.make ~name:"rtl" (Staged.stage (fun () -> rtl_frame ~pixels:256 ()));
-      Test.make ~name:"gate-level"
-        (Staged.stage (fun () -> nl_frame ~pixels:256 ()));
-    ]
+  let design = Expocu.Expocu_top.rtl_top () in
+  let rtl () =
+    let sim = Rtl_sim.create design in
+    drive_rtl ~pixels:256 sim;
+    sim
   in
-  let results = measure_ns tests in
-  let find key = List.assoc_opt ("sim/" ^ key) results in
-  let cycles = float_of_int (Rtl_sim.cycles (rtl_frame ~pixels:256 ())) in
-  let print name key =
-    match find key with
-    | Some ns ->
-        row "  %-14s %12.2f ms/frame %12.0f cycles/s\n" name (ns /. 1e6)
-          (cycles /. (ns /. 1e9))
-    | None -> row "  %-14s (no estimate)\n" name
+  let levels =
+    [|
+      ("behavioural", fun () -> ignore (behavioural_frame_sim ()));
+      ("RTL", fun () -> ignore (rtl ()));
+      ("gate-level", fun () -> ignore (nl_frame ~pixels:256 ()));
+    |]
   in
-  print "behavioural" "behavioural";
-  print "RTL" "rtl";
-  print "gate-level" "gate-level";
-  match (find "behavioural", find "rtl", find "gate-level") with
-  | Some b, Some r, Some g ->
-      row
-        "  speedups: behavioural/RTL = %.1fx, RTL/gate = %.1fx, \
-         behavioural/gate = %.1fx\n"
-        (r /. b) (g /. r) (g /. b)
-  | _, _, _ -> ()
+  let round () = Array.map (fun (_, f) -> snd (timed f)) levels in
+  ignore (round ());
+  let rounds = List.init e6_rounds (fun _ -> round ()) in
+  let cycles = float_of_int (Rtl_sim.cycles (rtl ())) in
+  row "  (median of %d alternating rounds)\n" e6_rounds;
+  Array.iteri
+    (fun i (name, _) ->
+      let s = median (List.map (fun r -> r.(i)) rounds) in
+      row "  %-14s %12.2f ms/frame %12.0f cycles/s\n" name (s *. 1e3) (cycles /. s))
+    levels;
+  let ratio slow fast = median (List.map (fun r -> r.(slow) /. r.(fast)) rounds) in
+  row
+    "  speedups: behavioural/RTL = %.1fx, RTL/gate = %.1fx, \
+     behavioural/gate = %.1fx\n"
+    (ratio 1 0) (ratio 2 1) (ratio 2 0)
 
 (* ------------------------------------------------------------------ *)
 (* E7: development effort, I2C master in three methodologies           *)
@@ -870,10 +857,6 @@ let experiments =
 (* Gate workloads: the figures CI gates on and BENCH_sim.json records  *)
 
 let cps cycles s = if s > 0.0 then float_of_int cycles /. s else 0.0
-
-let median xs =
-  let a = Array.of_list (List.sort compare xs) in
-  a.(Array.length a / 2)
 
 let evals_per_cycle sim =
   float_of_int (Backend.Nl_sim.gate_evals sim)

@@ -37,6 +37,10 @@ module type S = sig
   val outputs : t -> (string * int) list
 
   val set_input : t -> string -> Bitvec.t -> unit
+  (** Raises [Not_found] for a name that is not an input port (an
+      output port included) and [Invalid_argument] on a width
+      mismatch. *)
+
   val get : t -> string -> Bitvec.t
   (** Current value of any port (inputs echo their last driven value). *)
 

@@ -27,44 +27,6 @@ let set_array_elem env v i bv =
   let a = get_array env v in
   if i >= 0 && i < Array.length a then a.(i) <- bv
 
-let snapshot env (vars : Ir.var list) =
-  (* Partial deep copy: only the listed vars are captured.  Vars missing
-     from [env] are left missing — they read back as zero either way. *)
-  let fresh : env = Hashtbl.create (max 8 (2 * List.length vars)) in
-  List.iter
-    (fun (v : Ir.var) ->
-      match Hashtbl.find_opt env v.Ir.id with
-      | None -> ()
-      | Some (Scalar bv) -> Hashtbl.replace fresh v.Ir.id (Scalar bv)
-      | Some (Arr a) -> Hashtbl.replace fresh v.Ir.id (Arr (Array.copy a)))
-    vars;
-  fresh
-
-let copy env =
-  let fresh = Hashtbl.create (Hashtbl.length env) in
-  Hashtbl.iter
-    (fun id value ->
-      let value' =
-        match value with Scalar bv -> Scalar bv | Arr a -> Arr (Array.copy a)
-      in
-      Hashtbl.replace fresh id value')
-    env;
-  fresh
-
-let overwrite dst src =
-  (* In-place deep replacement: [dst] keeps its identity (simulator
-     structs hold the env by reference) but afterwards reads exactly
-     like [src], which stays untouched — restoring from the same
-     checkpoint twice works. *)
-  Hashtbl.reset dst;
-  Hashtbl.iter
-    (fun id value ->
-      let value' =
-        match value with Scalar bv -> Scalar bv | Arr a -> Arr (Array.copy a)
-      in
-      Hashtbl.replace dst id value')
-    src
-
 let bool_bv b = Bitvec.of_bool b
 
 let rec eval_expr env (e : Ir.expr) =

@@ -1,6 +1,8 @@
 (** Concrete evaluation of IR expressions and statement bodies over a
-    mutable environment.  Shared by the RTL simulator and by unit tests
-    that compare IR semantics against the netlist back end. *)
+    mutable environment: the reference semantics of the IR.  Used by
+    the OSSS object simulator ([Osss.Sim_object]) and by the tests,
+    whose reference RTL simulator is built on it; [Rtl_sim] compiles
+    the same semantics instead of interpreting them. *)
 
 type env
 
@@ -13,19 +15,6 @@ val get : env -> Ir.var -> Bitvec.t
 val set_array_elem : env -> Ir.var -> int -> Bitvec.t -> unit
 val get_array : env -> Ir.var -> Bitvec.t array
 (** The backing store (shared, not a copy). *)
-
-val copy : env -> env
-(** Deep copy, arrays included. *)
-
-val overwrite : env -> env -> unit
-(** [overwrite dst src] replaces the contents of [dst] in place with a
-    deep copy of [src] (which is left untouched) — the restore half of
-    checkpointing: [dst] keeps its identity but reads like [src]. *)
-
-val snapshot : env -> Ir.var list -> env
-(** [snapshot env vars] is a fresh environment holding copies of just
-    [vars] (arrays deep-copied).  Vars unbound in [env] stay unbound and
-    read back as zero, like in [env] itself. *)
 
 val eval_expr : env -> Ir.expr -> Bitvec.t
 

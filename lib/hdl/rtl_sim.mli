@@ -1,15 +1,20 @@
-(** Cycle-accurate interpreter for IR modules — the "RTL simulation"
-    level of the flow.  The design is flattened on creation.
+(** Cycle-accurate simulator for IR modules — the "RTL simulation"
+    level of the flow.  The design is flattened and compiled on
+    creation: every variable gets a slot in preallocated arrays (a
+    native int masked to its width up to 62 bits, a [Bitvec.t] above
+    that, one array per memory), and every process body becomes a tree
+    of closures over those slots with all widths resolved statically.
+    The semantics are {!Eval}'s, which the tests hold it to.
 
     Activity-based scheduling: combinational processes are ordered
     statically so writers run before readers (a cross-process cycle
     raises {!Combinational_loop} naming the offending process), and a
     settle runs only the processes whose inputs changed since the last
     settle — each at most once when the graph is acyclic.  Synchronous
-    processes execute against private snapshots of just the variables
-    they can observe, taken before any of them runs, so all of them see
-    the same pre-edge state; their register writes then commit and
-    combinational logic settles again. *)
+    processes write private copies of their targets and read everything
+    else from the shared state, which no synchronous body writes, so all
+    of them see the same pre-edge state; their register writes then
+    commit and combinational logic settles again. *)
 
 type t
 
@@ -18,8 +23,8 @@ exception Combinational_loop of string
 val create : Ir.module_def -> t
 
 val set_input : t -> string -> Bitvec.t -> unit
-(** Raises [Not_found] for unknown ports, [Invalid_argument] on width
-    mismatch or non-input ports. *)
+(** Raises [Not_found] for a name that is not an input port (an output
+    port included) and [Invalid_argument] on a width mismatch. *)
 
 val set_input_int : t -> string -> int -> unit
 val get : t -> string -> Bitvec.t
@@ -32,6 +37,7 @@ val peek_var : t -> Ir.var -> Bitvec.t
     construction). *)
 
 val peek_array : t -> Ir.var -> Bitvec.t array
+(** A copy of a memory's contents. *)
 
 val settle : t -> unit
 (** Combinational settle without a clock edge. *)
@@ -106,8 +112,9 @@ val enable_events : t -> unit
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Deep copy of the simulation state (environment, dirty set, cycle
-    count).  Coverage collectors and watchers are not captured. *)
+(** Copy of the simulation state (every variable and memory, the dirty
+    set, the cycle count).  Coverage collectors and watchers are not
+    captured. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewind to a checkpoint taken on the same simulator; re-running the

@@ -234,6 +234,22 @@ let test_inject_fault_unknown_port () =
     (Invalid_argument "Engine.inject_fault: no output port nope")
     (fun () -> ignore (Engine.inject_fault ~port:"nope" e))
 
+(* Driving a name that is not an input, or a value of the wrong width,
+   fails the same way on the RTL and the gate engine. *)
+let test_set_input_errors () =
+  let design = acc_design () in
+  List.iter
+    (fun e ->
+      let kind = Engine.kind e in
+      Alcotest.check_raises (kind ^ ": output port") Not_found (fun () ->
+          Engine.set_input e "y" (Bitvec.zero 8));
+      Alcotest.check_raises (kind ^ ": unknown port") Not_found (fun () ->
+          Engine.set_input e "nope" (Bitvec.zero 8));
+      match Engine.set_input e "x" (Bitvec.zero 4) with
+      | () -> Alcotest.failf "%s: width mismatch accepted" kind
+      | exception Invalid_argument _ -> ())
+    [ Rtl_engine.create design; Backend.Nl_engine.create (Backend.Lower.lower design) ]
+
 let suite =
   [
     Alcotest.test_case "engine interface" `Quick test_engine_interface;
@@ -248,6 +264,7 @@ let suite =
     Alcotest.test_case "consolidated trace" `Quick test_consolidated_trace;
     Alcotest.test_case "inject_fault validates port" `Quick
       test_inject_fault_unknown_port;
+    Alcotest.test_case "set_input errors" `Quick test_set_input_errors;
   ]
 
 let () = Alcotest.run "engine" [ ("engine", suite) ]
