@@ -521,6 +521,24 @@ let e8 () =
   report "conventional design vs its netlist"
     (Backend.Equiv.ir_vs_netlist ~cycles:800 rtl_top
        (Backend.Lower.lower rtl_top));
+  (* The directed 256-pixel frame (pixel i = i * 53 mod 256) through
+     the frame's processing: each optimized netlist against the netlist
+     it was optimized from. *)
+  List.iter
+    (fun (label, top) ->
+      let raw = Backend.Lower.lower top in
+      report
+        (Printf.sprintf "%s opt vs lowered, directed frame" label)
+        (Backend.Equiv.differential
+           ~cycles:Expocu.Expocu_top.directed_frame_cycles
+           ~drive:Expocu.Expocu_top.directed_frame
+           [
+             (fun () -> Backend.Nl_engine.create ~label:"lowered" raw);
+             (fun () ->
+               Backend.Nl_engine.create ~label:"optimized"
+                 (Backend.Opt.optimize raw));
+           ]))
+    [ ("OSSS", osss_top); ("conventional", rtl_top) ];
   (* All levels in one N-way lockstep run through the engine harness:
      the first factory is the reference, every output of every other
      engine is compared against it each cycle. *)

@@ -62,9 +62,18 @@ let synthesize name flow_name out_dir emit_artifacts no_fold layout cec json
       (* --power-out/--power-summary append the dynamic-power pass to
          the flow (256 cycles of deterministic seeded stimulus). *)
       let power_cycles = if Obs_cli.powering obs then Some 256 else None in
+      (* The ExpoCU tops also get the directed frame in the opt pass's
+         lockstep check. *)
+      let directed =
+        if String.starts_with ~prefix:"expocu_" name then
+          Some
+            ( Expocu.Expocu_top.directed_frame_cycles,
+              Expocu.Expocu_top.directed_frame )
+        else None
+      in
       let result =
-        Synth.Flow.run ~fold:(not no_fold) ~check_invariants:cec ~layout
-          ?power_cycles kind (make ())
+        Synth.Flow.run ~fold:(not no_fold) ~check_invariants:cec ?directed
+          ~layout ?power_cycles kind (make ())
       in
       (* --json keeps stdout machine-readable; the narrative goes to
          stderr through the logger. *)
@@ -95,6 +104,20 @@ let synthesize name flow_name out_dir emit_artifacts no_fold layout cec json
             1
         | None -> 0
       in
+      let diverged =
+        List.concat_map
+          (fun (p : Synth.Flow.pass) ->
+            List.filter
+              (fun (l : Synth.Flow.lockstep) -> l.first_mismatch <> None)
+              p.lockstep)
+          result.Synth.Flow.passes
+      in
+      List.iter
+        (fun l ->
+          Obs.Log.errorf "opt invariant: lockstep %s"
+            (Format.asprintf "%a" Synth.Flow.pp_lockstep l))
+        diverged;
+      let rc = if diverged <> [] then 1 else rc in
       Obs_cli.finish obs ~json ~run:"osss_synth"
         ?power:result.Synth.Flow.power;
       rc
@@ -125,8 +148,10 @@ let layout_arg =
 
 let cec_arg =
   let doc =
-    "Check every netlist-rewriting pass with combinational equivalence \
-     (slow on large designs)."
+    "Check the opt pass with combinational equivalence and a bounded \
+     lockstep simulation of the lowered against the optimised netlist \
+     (seeded random stimulus, plus the directed frame on the ExpoCU \
+     tops); exits 1 when the lockstep diverges."
   in
   Arg.(value & flag & info [ "cec" ] ~doc)
 

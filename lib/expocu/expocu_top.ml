@@ -209,3 +209,24 @@ let rtl_top ?(config = default_config) () =
       p_reset = Reset_ctrl.rtl_module ();
     }
     config
+
+(* The directed frame: reset released, 15 idle cycles, frame_sync high
+   for a 4-cycle lead-in, then one pixel per cycle with line_valid high,
+   pixel [i] = [i * 53 mod 256], then idle while the frame is
+   processed (frame_done rises at cycle 780); target_bin is 7
+   throughout. *)
+let directed_frame_pixels = 256
+let directed_frame_cycles = 900
+
+let directed_frame cycle (name, random) =
+  let px = cycle - 19 in
+  let in_frame = px >= 0 && px < directed_frame_pixels in
+  let value =
+    match name with
+    | "frame_sync" -> if cycle >= 15 && px < directed_frame_pixels then 1 else 0
+    | "line_valid" -> if in_frame then 1 else 0
+    | "pixel" -> if in_frame then px * 53 mod 256 else 0
+    | "target_bin" -> 7
+    | _ -> 0
+  in
+  Bitvec.of_int ~width:(Bitvec.width random) value

@@ -25,6 +25,23 @@ val default_config : config
 val osss_top : ?config:config -> unit -> Ir.module_def
 val rtl_top : ?config:config -> unit -> Ir.module_def
 
+(** {1 Directed stimulus} *)
+
+val directed_frame : int -> string * Bitvec.t -> Bitvec.t
+(** [directed_frame cycle (port, random)] is the directed 256-pixel
+    frame as an {!Backend.Equiv.differential} [drive] function: reset
+    released, 15 idle cycles, [frame_sync] high for a 4-cycle lead-in,
+    then one pixel per cycle with [line_valid] high, pixel [i] =
+    [i * 53 mod 256], then idle while the frame is processed;
+    [target_bin] is 7 and every other input 0 throughout. *)
+
+val directed_frame_pixels : int
+(** 256. *)
+
+val directed_frame_cycles : int
+(** Cycles that cover the frame and its processing through
+    [frame_done]. *)
+
 val i2c_dev_addr : int
 val i2c_reg_addr : int
 

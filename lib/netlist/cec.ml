@@ -23,9 +23,7 @@ let interface (nl : Netlist.t) =
       (List.map (fun (n, nets) -> (n, Array.length nets)) (Netlist.inputs nl)),
     List.sort compare
       (List.map (fun (n, nets) -> (n, Array.length nets)) (Netlist.outputs nl)),
-    List.length
-      (List.filter (fun (c : Netlist.cell) -> c.kind = Cell.Dff)
-         (Netlist.cells nl)) )
+    Array.length (Netlist.freeze nl).dffs )
 
 let make_plan nl =
   let ins, _, n_regs = interface nl in
@@ -44,59 +42,55 @@ let make_plan nl =
   in
   { input_vars; n_input_vars = !counter; n_state_bits = n_regs }
 
-(* Build BDDs for every net of the netlist under the shared plan.
-   Returns per-output functions and per-register next-state functions
-   (in register creation order). *)
+(* Build BDDs for every net of the netlist under the shared plan, in
+   one pass over the frozen topological order.  Returns per-output
+   functions and per-register next-state functions (in register
+   creation order). *)
 let build mgr plan (nl : Netlist.t) =
-  let values : (int, Bdd.node) Hashtbl.t = Hashtbl.create 1024 in
+  let frozen = Netlist.freeze nl in
+  let values = Array.make (Netlist.net_count nl) None in
   List.iter
     (fun (name, nets) ->
       let vars = List.assoc name plan.input_vars in
-      Array.iteri
-        (fun i n -> Hashtbl.replace values n (Bdd.var mgr vars.(i)))
-        nets)
+      Array.iteri (fun i n -> values.(n) <- Some (Bdd.var mgr vars.(i))) nets)
     (Netlist.inputs nl);
   (* register outputs are pseudo inputs, numbered after the real ones *)
-  let dffs =
-    List.filter (fun (c : Netlist.cell) -> c.kind = Cell.Dff)
-      (Netlist.cells nl)
-  in
-  List.iteri
+  Array.iteri
     (fun i (c : Netlist.cell) ->
-      Hashtbl.replace values c.out (Bdd.var mgr (plan.n_input_vars + i)))
-    dffs;
-  let rec eval net =
-    match Hashtbl.find_opt values net with
+      values.(c.out) <- Some (Bdd.var mgr (plan.n_input_vars + i)))
+    frozen.dffs;
+  let value net =
+    match values.(net) with
     | Some node -> node
-    | None ->
-        let node =
-          match Netlist.driver nl net with
-          | None -> failwith "Cec: undriven net"
-          | Some c -> (
-              let i k = eval c.ins.(k) in
-              match c.kind with
-              | Cell.Const0 -> Bdd.zero
-              | Const1 -> Bdd.one
-              | Buf -> i 0
-              | Not -> Bdd.not_ mgr (i 0)
-              | And2 -> Bdd.and_ mgr (i 0) (i 1)
-              | Or2 -> Bdd.or_ mgr (i 0) (i 1)
-              | Xor2 -> Bdd.xor mgr (i 0) (i 1)
-              | Nand2 -> Bdd.not_ mgr (Bdd.and_ mgr (i 0) (i 1))
-              | Nor2 -> Bdd.not_ mgr (Bdd.or_ mgr (i 0) (i 1))
-              | Mux2 -> Bdd.ite mgr (i 0) (i 1) (i 2)
-              | Dff -> assert false (* seeded above *))
-        in
-        Hashtbl.replace values net node;
-        node
+    | None -> failwith "Cec: undriven net"
   in
+  Array.iter
+    (fun (c : Netlist.cell) ->
+      let i k = value c.ins.(k) in
+      let node =
+        match c.kind with
+        | Cell.Const0 -> Bdd.zero
+        | Const1 -> Bdd.one
+        | Buf -> i 0
+        | Not -> Bdd.not_ mgr (i 0)
+        | And2 -> Bdd.and_ mgr (i 0) (i 1)
+        | Or2 -> Bdd.or_ mgr (i 0) (i 1)
+        | Xor2 -> Bdd.xor mgr (i 0) (i 1)
+        | Nand2 -> Bdd.not_ mgr (Bdd.and_ mgr (i 0) (i 1))
+        | Nor2 -> Bdd.not_ mgr (Bdd.or_ mgr (i 0) (i 1))
+        | Mux2 -> Bdd.ite mgr (i 0) (i 1) (i 2)
+        | Dff -> assert false
+      in
+      values.(c.out) <- Some node)
+    frozen.comb;
   let outputs =
     List.map
-      (fun (name, nets) -> (name, Array.map eval nets))
+      (fun (name, nets) -> (name, Array.map value nets))
       (Netlist.outputs nl)
   in
   let next_state =
-    List.map (fun (c : Netlist.cell) -> eval c.ins.(0)) dffs
+    Array.to_list
+      (Array.map (fun (c : Netlist.cell) -> value c.ins.(0)) frozen.dffs)
   in
   (outputs, next_state)
 

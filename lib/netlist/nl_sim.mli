@@ -28,44 +28,18 @@ type mode =
   | Full_eval  (** every combinational cell, every settle *)
 
 exception Combinational_loop of { module_name : string; net : int }
-(** A combinational cycle through [net] in the named design — the
-    gate-level counterpart of {!Rtl_sim.Combinational_loop}. *)
+(** {!Netlist.Combinational_loop}: a combinational cycle through [net]
+    in the named design — the gate-level counterpart of
+    {!Rtl_sim.Combinational_loop}. *)
 
 val lane_bits : int
 (** Lanes packed per machine word ([Sys.int_size]: 63 on 64-bit). *)
 
 val create : ?mode:mode -> ?lanes:int -> Netlist.t -> t
-(** Checks the netlist and levelizes it; raises {!Combinational_loop}
-    naming the offending net on a combinational cycle, and
-    [Invalid_argument] when [lanes < 1]. *)
-
-val topo_order : Netlist.t -> Netlist.cell array
-(** Combinational cells in topological (inputs-before-readers) order;
-    raises {!Combinational_loop} on a cycle. *)
-
-(** The static scheduling structure: topological order, levels,
-    per-net combinational fanout and the port-name tables.  Building it
-    checks the netlist and raises {!Combinational_loop} on a
-    combinational cycle. *)
-module Sched : sig
-  type t = {
-    order : Netlist.cell array;  (** combinational cells, topological *)
-    dffs : Netlist.cell array;
-    level : int array;  (** logic depth per index into [order] *)
-    fanout : int array array;  (** net -> indices into [order] reading it *)
-    n_levels : int;
-    in_nets : (string, Netlist.net array) Hashtbl.t;
-    out_nets : (string, Netlist.net array) Hashtbl.t;
-  }
-
-  val build : Netlist.t -> t
-
-  val net_labels : Netlist.t -> string array
-  (** Human-readable per-net labels: port bits as ["bus[i]"] (bare name
-      for width-1 ports), internal nets by their hierarchical
-      description from lowering ({!Netlist.describe_net}, e.g.
-      ["u_hist.count[3]"]), remaining anonymous nets as ["n<id>"]. *)
-end
+(** Checks the netlist and compiles its frozen view
+    ({!Netlist.freeze}); raises {!Combinational_loop} naming the
+    offending net on a combinational cycle, and [Invalid_argument] when
+    [lanes < 1]. *)
 
 val lanes : t -> int
 val mode : t -> mode
@@ -174,6 +148,11 @@ val cells_skipped : t -> int
 
 val comb_cells : t -> int
 val dff_cells : t -> int
+
+val program : t -> int array
+(** A copy of the compiled program: five ints per combinational cell,
+    in frozen order — opcode, output net, then up to three input nets
+    (unused slots 0). *)
 
 val full_settles : t -> int
 (** Settles that evaluated every combinational cell: all of them in

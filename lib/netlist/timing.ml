@@ -5,67 +5,51 @@ type report = {
   levels : int;
 }
 
-(* Arrival-time propagation shared by the whole-design report and the
-   per-module breakdown.  Returns the [arrive] forcing function plus
-   the arrival/depth tables it fills in. *)
+(* Arrival times and logic depths per net, shared by the whole-design
+   report and the per-module breakdown: one pass over the frozen
+   topological order, so every input is final before its reader.
+   Primary inputs arrive at 0, flip-flop outputs at clock-to-q. *)
 let propagate nl =
+  let frozen = Netlist.freeze nl in
   let n = Netlist.net_count nl in
   let arrival = Array.make n 0.0 in
   let depth = Array.make n 0 in
-  (* Flip-flop outputs launch at clock-to-q. *)
-  List.iter
+  Array.iter
+    (fun (c : Netlist.cell) -> arrival.(c.out) <- Cell.delay Cell.Dff)
+    frozen.dffs;
+  Array.iter
     (fun (c : Netlist.cell) ->
-      if c.kind = Cell.Dff then begin
-        arrival.(c.out) <- Cell.delay Cell.Dff;
-        depth.(c.out) <- 0
-      end)
-    (Netlist.cells nl);
-  (* Combinational cells are stored in creation order, which is already
-     topological for inputs built before outputs; a DFS makes it robust
-     to any ordering. *)
-  let state = Hashtbl.create 256 in
-  let rec arrive net =
-    match Hashtbl.find_opt state net with
-    | Some () -> arrival.(net)
-    | None -> (
-        Hashtbl.replace state net ();
-        match Netlist.driver nl net with
-        | None -> arrival.(net) (* primary input: 0 *)
-        | Some c when c.kind = Cell.Dff -> arrival.(net)
-        | Some c ->
-            let worst = ref 0.0 and lvl = ref 0 in
-            Array.iter
-              (fun i ->
-                let a = arrive i in
-                if a > !worst then begin
-                  worst := a;
-                  lvl := depth.(i)
-                end
-                else if a = !worst && depth.(i) > !lvl then lvl := depth.(i))
-              c.ins;
-            arrival.(net) <- !worst +. Cell.delay c.kind;
-            depth.(net) <- !lvl + (if c.kind = Cell.Const0 || c.kind = Cell.Const1 then 0 else 1);
-            arrival.(net))
-  in
-  (arrive, arrival, depth)
+      let worst = ref 0.0 and lvl = ref 0 in
+      Array.iter
+        (fun i ->
+          let a = arrival.(i) in
+          if a > !worst then begin
+            worst := a;
+            lvl := depth.(i)
+          end
+          else if a = !worst && depth.(i) > !lvl then lvl := depth.(i))
+        c.ins;
+      arrival.(c.out) <- !worst +. Cell.delay c.kind;
+      depth.(c.out) <-
+        (!lvl + if c.kind = Cell.Const0 || c.kind = Cell.Const1 then 0 else 1))
+    frozen.comb;
+  (arrival, depth)
 
-let analyze nl =
-  let arrive, _, depth = propagate nl in
+let report_of nl (arrival, depth) =
   let best = ref 0.0 and best_ep = ref "(none)" and best_lvl = ref 0 in
   let consider label net extra =
-    let a = arrive net +. extra in
+    let a = arrival.(net) +. extra in
     if a > !best then begin
       best := a;
       best_ep := label;
       best_lvl := depth.(net)
     end
   in
-  List.iter
+  Array.iter
     (fun (c : Netlist.cell) ->
-      if c.kind = Cell.Dff then
-        consider (Printf.sprintf "dff d-input (net %d)" c.ins.(0)) c.ins.(0)
-          Cell.setup_time)
-    (Netlist.cells nl);
+      consider (Printf.sprintf "dff d-input (net %d)" c.ins.(0)) c.ins.(0)
+        Cell.setup_time)
+    (Netlist.freeze nl).dffs;
   List.iter
     (fun (name, nets) ->
       Array.iter (fun net -> consider ("output " ^ name) net 0.0) nets)
@@ -80,12 +64,11 @@ let meets r ~freq_mhz = r.fmax_mhz >= freq_mhz
 
 type module_row = { path : string; m_worst_ns : float; m_levels : int }
 
-let by_module nl =
-  let arrive, _, depth = propagate nl in
+let modules_of nl (arrival, depth) =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (c : Netlist.cell) ->
-      let a = arrive c.out in
+      let a = arrival.(c.out) in
       let r = Netlist.region_of nl c.out in
       match Hashtbl.find_opt tbl r with
       | Some (worst, _) when worst >= a -> ()
@@ -96,6 +79,13 @@ let by_module nl =
        (fun path (m_worst_ns, m_levels) acc ->
          { path; m_worst_ns; m_levels } :: acc)
        tbl [])
+
+let analyze nl = report_of nl (propagate nl)
+let by_module nl = modules_of nl (propagate nl)
+
+let analyze_by_module nl =
+  let p = propagate nl in
+  (report_of nl p, modules_of nl p)
 
 let pp_report fmt r =
   Format.fprintf fmt

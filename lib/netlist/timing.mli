@@ -14,6 +14,9 @@ type report = {
 }
 
 val analyze : Netlist.t -> report
+(** One pass over the frozen topological order ({!Netlist.freeze});
+    raises {!Netlist.Combinational_loop} on a combinational cycle, as
+    does {!by_module}. *)
 
 val meets : report -> freq_mhz:float -> bool
 (** Does the netlist close timing at the given clock? (The ExpoCU
@@ -29,5 +32,8 @@ val by_module : Netlist.t -> module_row list
 (** Per-module worst arrival times keyed on the netlist's region
     annotations, sorted by path — where the critical path spends its
     time, module by module. *)
+
+val analyze_by_module : Netlist.t -> report * module_row list
+(** [(analyze nl, by_module nl)] from one propagation. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -11,20 +11,14 @@ type t = {
 
 let create nl =
   Netlist.check nl;
-  let in_nets = Hashtbl.create 8 and out_nets = Hashtbl.create 8 in
-  List.iter (fun (n, nets) -> Hashtbl.replace in_nets n nets) (Netlist.inputs nl);
-  List.iter
-    (fun (n, nets) -> Hashtbl.replace out_nets n nets)
-    (Netlist.outputs nl);
+  let f = Netlist.freeze nl in
   {
     nl;
     values = Array.make (Netlist.net_count nl) L.X;
-    order = Nl_sim.topo_order nl;
-    dffs =
-      List.filter (fun c -> c.Netlist.kind = Cell.Dff) (Netlist.cells nl)
-      |> Array.of_list;
-    in_nets;
-    out_nets;
+    order = f.comb;
+    dffs = f.dffs;
+    in_nets = f.in_nets;
+    out_nets = f.out_nets;
   }
 
 let set_input t name bv =

@@ -12,7 +12,7 @@ type t
 
 val create : Netlist.t -> t
 (** All flip-flops and inputs start at [X].  Raises
-    {!Nl_sim.Combinational_loop} on a combinational cycle. *)
+    {!Netlist.Combinational_loop} on a combinational cycle. *)
 
 val set_input : t -> string -> Bitvec.t -> unit
 val set_input_x : t -> string -> unit

@@ -2,12 +2,19 @@ type kind = Osss | Vhdl
 
 let kind_name = function Osss -> "osss" | Vhdl -> "vhdl"
 
+type lockstep = {
+  stimulus : string;
+  cycles : int;
+  first_mismatch : Backend.Equiv.mismatch option;
+}
+
 type pass = {
   pass_name : string;
   elapsed_ms : float;
   artifacts : string list;
   metrics : (string * float) list;
   invariant : Backend.Cec.verdict option;
+  lockstep : lockstep list;
 }
 
 let pass_metric p key = List.assoc_opt key p.metrics
@@ -47,14 +54,65 @@ type result = {
   power : Power_dyn.report option;
 }
 
+let lockstep_cycles = 1000
+let lockstep_seed = 1
+
+let pp_lockstep fmt l =
+  match l.first_mismatch with
+  | None -> Format.fprintf fmt "%s %d cycles ok" l.stimulus l.cycles
+  | Some m ->
+      Format.fprintf fmt "%s FAILED: %a" l.stimulus Backend.Equiv.pp_mismatch m
+
+let opt_lockstep ?directed before after =
+  let run stimulus cycles drive =
+    let first_mismatch =
+      match
+        Backend.Equiv.differential ~cycles ~seed:lockstep_seed ~drive
+          ~shrink:false
+          [
+            (fun () -> Backend.Nl_engine.create ~label:"lowered" before);
+            (fun () -> Backend.Nl_engine.create ~label:"optimised" after);
+          ]
+      with
+      | Ok _ -> None
+      | Error d -> Some d.Backend.Equiv.first
+    in
+    { stimulus; cycles; first_mismatch }
+  in
+  let released _ (name, v) =
+    if Power_dyn.reset_like name then Bitvec.zero (Bitvec.width v) else v
+  in
+  run "random" lockstep_cycles released
+  ::
+  (match directed with
+  | Some (cycles, drive) -> [ run "directed" cycles drive ]
+  | None -> [])
+
+(* Area and timing of one netlist; a flow reports each netlist's from
+   one computation, however many passes read it. *)
+type analysis = {
+  an_area : Backend.Area.report;
+  an_timing : Backend.Timing.report;
+  an_modules : Backend.Timing.module_row list;
+}
+
+let memo_analysis () =
+  let memo = ref [] in
+  fun nl ->
+    match List.assq_opt nl !memo with
+    | Some a -> a
+    | None ->
+        let an_timing, an_modules = Backend.Timing.analyze_by_module nl in
+        let a = { an_area = Backend.Area.analyze nl; an_timing; an_modules } in
+        memo := (nl, a) :: !memo;
+        a
+
 (* Cell/area/timing snapshot of a netlist, prefixed "before_"/"after_". *)
-let nl_metrics prefix nl =
-  let a = Backend.Area.analyze nl in
-  let t = Backend.Timing.analyze nl in
+let nl_metrics prefix nl a =
   [
     (prefix ^ "cells", float_of_int (Backend.Netlist.cell_count nl));
-    (prefix ^ "area_ge", a.Backend.Area.total);
-    (prefix ^ "critical_ns", t.Backend.Timing.critical_ns);
+    (prefix ^ "area_ge", a.an_area.Backend.Area.total);
+    (prefix ^ "critical_ns", a.an_timing.Backend.Timing.critical_ns);
   ]
 
 (* Mutable pass-trace accumulator threaded through [run]. *)
@@ -86,7 +144,7 @@ let hist_cells_delta = Obs.Hist.histogram "flow.pass_cells_removed"
 let hist_elapsed = Obs.Hist.histogram "flow.pass_elapsed_us"
 
 let run_pass tr name ?(artifacts = fun _ -> []) ?invariant
-    ?(metrics = fun _ -> []) f =
+    ?(lockstep = fun _ -> []) ?(metrics = fun _ -> []) f =
   let exec () =
     let t0 = Sys.time () in
     let value = f () in
@@ -94,6 +152,7 @@ let run_pass tr name ?(artifacts = fun _ -> []) ?invariant
     let artifacts = artifacts value in
     let metrics = metrics value in
     let invariant = Option.map (fun check -> check value) invariant in
+    let lockstep = lockstep value in
     Perf.incr (Perf.counter (Printf.sprintf "flow.%s.runs" name));
     perf_deltas name metrics;
     Obs.Hist.observe hist_elapsed (elapsed_ms *. 1000.0);
@@ -110,6 +169,11 @@ let run_pass tr name ?(artifacts = fun _ -> []) ?invariant
         Obs.Span.add_attr "invariant"
           (Format.asprintf "%a" Backend.Cec.pp_verdict v)
     | None -> ());
+    List.iter
+      (fun l ->
+        Obs.Span.add_attr ("lockstep_" ^ l.stimulus)
+          (Format.asprintf "%a" pp_lockstep l))
+      lockstep;
     tr.t_artifacts <- List.rev_append artifacts tr.t_artifacts;
     tr.t_passes <-
       {
@@ -118,6 +182,7 @@ let run_pass tr name ?(artifacts = fun _ -> []) ?invariant
         artifacts = List.map fst artifacts;
         metrics;
         invariant;
+        lockstep;
       }
       :: tr.t_passes;
     value
@@ -125,7 +190,7 @@ let run_pass tr name ?(artifacts = fun _ -> []) ?invariant
   if Obs.Span.enabled () then Obs.Span.with_ ~name:("flow." ^ name) exec
   else exec ()
 
-let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
+let run ?(fold = true) ?(check_invariants = false) ?directed ?(layout = false)
     ?power_cycles flow_kind (design : Ir.module_def) =
   (if Obs.Span.enabled () then
      Obs.Span.with_ ~name:"flow.run"
@@ -133,6 +198,7 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
    else fun f -> f ())
   @@ fun () ->
   let tr = { t_passes = []; t_artifacts = [] } in
+  let analysis = memo_analysis () in
   let base = design.Ir.mod_name in
   run_pass tr "check" (fun () -> Ir.check_module design);
   let flat =
@@ -177,7 +243,7 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
         [ (base ^ "_netlist_raw.v", Backend.Netlist.emit_verilog raw) ])
       ~metrics:(fun raw ->
         let hits, misses = Backend.Lower.cache_stats () in
-        nl_metrics "after_" raw
+        nl_metrics "after_" raw (analysis raw)
         @ [
             ("cache_hits", float_of_int (hits - cache_hits0));
             ("cache_misses", float_of_int (misses - cache_misses0));
@@ -191,22 +257,28 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
     run_pass tr "opt"
       ~artifacts:(fun nl ->
         [ (base ^ "_netlist.v", Backend.Netlist.emit_verilog nl) ])
-      ~metrics:(fun nl -> nl_metrics "before_" raw @ nl_metrics "after_" nl)
+      ~metrics:(fun nl ->
+        nl_metrics "before_" raw (analysis raw)
+        @ nl_metrics "after_" nl (analysis nl))
       ?invariant:
         (if check_invariants then Some (fun nl -> Backend.Cec.check raw nl)
          else None)
+      ~lockstep:(fun nl ->
+        if check_invariants then opt_lockstep ?directed raw nl else [])
       (fun () -> Backend.Opt.optimize raw)
   in
   let layout_report =
     if not layout then None
     else begin
+      let depth = ref 0 in
       let mapped =
         run_pass tr "techmap"
           ~metrics:(fun mapped ->
+            depth := Backend.Techmap.depth mapped;
             [
               ("after_luts", float_of_int (Backend.Techmap.lut_count mapped));
               ("after_ffs", float_of_int (Backend.Techmap.ff_count mapped));
-              ("after_depth", float_of_int (Backend.Techmap.depth mapped));
+              ("after_depth", float_of_int !depth);
             ])
           (fun () -> Backend.Techmap.map netlist)
       in
@@ -226,7 +298,7 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
         {
           luts = Backend.Techmap.lut_count mapped;
           ffs = Backend.Techmap.ff_count mapped;
-          depth = Backend.Techmap.depth mapped;
+          depth = !depth;
           grid = report.Backend.Pnr.grid;
           utilization = report.Backend.Pnr.utilization;
           wirelength = report.Backend.Pnr.wirelength;
@@ -244,7 +316,7 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
           ("after_modules", float_of_int (List.length bm));
         ])
       (fun () ->
-        let timing_rows = Backend.Timing.by_module netlist in
+        let a = analysis netlist in
         let by_module =
           List.map
             (fun (r : Backend.Area.module_row) ->
@@ -253,7 +325,7 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
                   List.find_opt
                     (fun (t : Backend.Timing.module_row) ->
                       t.Backend.Timing.path = r.Backend.Area.path)
-                    timing_rows
+                    a.an_modules
                 with
                 | Some t -> t.Backend.Timing.m_worst_ns
                 | None -> 0.0
@@ -268,8 +340,8 @@ let run ?(fold = true) ?(check_invariants = false) ?(layout = false)
               })
             (Backend.Area.by_module netlist)
         in
-        ( Backend.Area.analyze netlist,
-          Backend.Timing.analyze netlist,
+        ( a.an_area,
+          a.an_timing,
           by_module,
           Analyzer.report design ))
   in
@@ -349,9 +421,13 @@ let pass_table r =
       let area = pair "area_ge" (fun v -> Printf.sprintf "%.1f" v) in
       let crit = pair "critical_ns" (fun v -> Printf.sprintf "%.2f" v) in
       let inv =
-        match pass.invariant with
-        | Some v -> Format.asprintf "%a" Backend.Cec.pp_verdict v
-        | None -> ""
+        String.concat "; "
+          ((match pass.invariant with
+           | Some v -> [ Format.asprintf "%a" Backend.Cec.pp_verdict v ]
+           | None -> [])
+          @ List.map
+              (fun l -> Format.asprintf "lockstep %a" pp_lockstep l)
+              pass.lockstep)
       in
       let extra =
         if pass.artifacts = [] then ""
@@ -371,13 +447,36 @@ let pass_json (p : pass) =
        ("artifacts", List (List.map (fun a -> String a) p.artifacts));
        ("metrics", Obj (List.map (fun (k, v) -> (k, Float v)) p.metrics));
      ]
+    @ (match p.invariant with
+      | Some v ->
+          [
+            ( "invariant",
+              String (Format.asprintf "%a" Backend.Cec.pp_verdict v) );
+          ]
+      | None -> [])
     @
-    match p.invariant with
-    | Some v ->
+    match p.lockstep with
+    | [] -> []
+    | ls ->
         [
-          ("invariant", String (Format.asprintf "%a" Backend.Cec.pp_verdict v));
-        ]
-    | None -> [])
+          ( "lockstep",
+            List
+              (List.map
+                 (fun l ->
+                   Obj
+                     [
+                       ("stimulus", String l.stimulus);
+                       ("cycles", Int l.cycles);
+                       ( "mismatch",
+                         match l.first_mismatch with
+                         | Some m ->
+                             String
+                               (Format.asprintf "%a"
+                                  Backend.Equiv.pp_mismatch m)
+                         | None -> Null );
+                     ])
+                 ls) );
+        ])
 
 let result_json r =
   let open Obs.Json in

@@ -11,10 +11,11 @@
 
     Each pass records its wall-clock time, the artifacts it produced,
     its metrics (cell/area/timing before and after for the
-    netlist-rewriting passes) and, optionally, a formal invariant
-    check: with [~check_invariants:true] every netlist-rewriting pass
-    is followed by a BDD-based combinational equivalence check
-    ({!Backend.Cec}) of its input against its output.  Deltas are also
+    netlist-rewriting passes, each netlist analysed once per run) and,
+    optionally, invariant checks: with [~check_invariants:true] the
+    [opt] pass is followed by a BDD-based combinational equivalence
+    check ({!Backend.Cec}) of its input against its output and by a
+    bounded lockstep simulation of the two ({!opt_lockstep}).  Deltas are also
     accumulated into the global [Perf] registry under
     [flow.<pass>.cells_delta] / [flow.<pass>.area_delta_ge] /
     [flow.<pass>.critical_delta_ps]. *)
@@ -22,6 +23,15 @@
 type kind = Osss | Vhdl
 
 val kind_name : kind -> string
+
+type lockstep = {
+  stimulus : string;  (** ["random"] or ["directed"] *)
+  cycles : int;  (** cycles compared *)
+  first_mismatch : Backend.Equiv.mismatch option;
+      (** first output that differed, with its port and cycle *)
+}
+(** One bounded lockstep run of a pass's input netlist (reference,
+    labelled ["lowered"]) against its output (["optimised"]). *)
 
 type pass = {
   pass_name : string;
@@ -34,7 +44,24 @@ type pass = {
   invariant : Backend.Cec.verdict option;
       (** before-vs-after equivalence verdict, when requested and the
           pass rewrites the netlist *)
+  lockstep : lockstep list;
+      (** before-vs-after lockstep runs, when requested ([opt] only) *)
 }
+
+val opt_lockstep :
+  ?directed:int * (int -> string * Bitvec.t -> Bitvec.t) ->
+  Backend.Netlist.t ->
+  Backend.Netlist.t ->
+  lockstep list
+(** [opt_lockstep before after] drives both netlists ({!Backend.Nl_engine})
+    in lockstep through {!Backend.Equiv.differential} and compares every
+    output every cycle: 1000 cycles of seeded random stimulus with
+    reset-like inputs held released ({!Power_dyn.reset_like}), then,
+    when given, [directed = (cycles, drive)] — a [drive] function as
+    {!Backend.Equiv.differential} takes it, e.g.
+    [Expocu.Expocu_top.directed_frame]. *)
+
+val pp_lockstep : Format.formatter -> lockstep -> unit
 
 val pass_metric : pass -> string -> float option
 
@@ -87,13 +114,15 @@ type result = {
 val run :
   ?fold:bool ->
   ?check_invariants:bool ->
+  ?directed:int * (int -> string * Bitvec.t -> Bitvec.t) ->
   ?layout:bool ->
   ?power_cycles:int ->
   kind ->
   Ir.module_def ->
   result
-(** [check_invariants] (default [false]) runs CEC around every
-    netlist-rewriting pass; [layout] (default [false]) extends the
+(** [check_invariants] (default [false]) runs CEC and
+    {!opt_lockstep} (with [directed], when given) around the [opt]
+    pass; [layout] (default [false]) extends the
     pipeline through technology mapping and place & route;
     [power_cycles] adds a dynamic-power pass that simulates the
     optimized netlist for that many cycles of deterministic seeded

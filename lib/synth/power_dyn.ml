@@ -82,23 +82,15 @@ let analyze ?(freq_mhz = 66.0) ?(vdd = 1.8) ?(lib = default_lib) nl act =
   Cover.Activity.flush act;
   let f_hz = freq_mhz *. 1e6 in
   let v2 = vdd *. vdd in
-  let n_nets = Backend.Netlist.net_count nl in
-  (* Driver kind and region per net; nets without a driving cell
-     (primary inputs, never-driven placeholders) carry no modelled
-     load, matching the static estimator which iterates cells. *)
-  let kind_of = Array.make n_nets None in
-  let n_ffs = ref 0 in
-  List.iter
-    (fun (c : Backend.Netlist.cell) ->
-      kind_of.(c.out) <- Some c.kind;
-      if c.kind = Backend.Cell.Dff then incr n_ffs)
-    (Backend.Netlist.cells nl);
-  let region_of = Array.init n_nets (fun n -> Backend.Netlist.region_of nl n) in
+  (* Nets without a driving cell (primary inputs, never-driven
+     placeholders) carry no modelled load, matching the static estimator
+     which iterates cells. *)
+  let n_ffs = Array.length (Backend.Netlist.freeze nl).dffs in
   let area = (Backend.Area.analyze nl).Backend.Area.total in
   let leak_w = area *. lib.leakage_uw_per_ge *. 1e-6 in
   (* Per-cycle background energy (fJ): clock pins charge twice a cycle,
      leakage burns continuously. *)
-  let clock_fj_cycle = 2.0 *. float_of_int !n_ffs *. lib.clock_pin_cap_ff *. v2 in
+  let clock_fj_cycle = 2.0 *. float_of_int n_ffs *. lib.clock_pin_cap_ff *. v2 in
   let leak_fj_cycle = if f_hz > 0.0 then leak_w /. f_hz *. 1e15 else 0.0 in
   let mod_energy = Hashtbl.create 16 in
   let mod_toggles = Hashtbl.create 16 in
@@ -113,12 +105,12 @@ let analyze ?(freq_mhz = 66.0) ?(vdd = 1.8) ?(lib = default_lib) nl act =
         let sw_fj = ref 0.0 in
         List.iter
           (fun (slot, count) ->
-            match kind_of.(slot) with
+            match Backend.Netlist.driver nl slot with
             | None -> ()
-            | Some kind ->
-                let fj = float_of_int count *. lib.cap_ff kind *. v2 in
+            | Some c ->
+                let fj = float_of_int count *. lib.cap_ff c.kind *. v2 in
                 sw_fj := !sw_fj +. fj;
-                let r = region_of.(slot) in
+                let r = Backend.Netlist.region_of nl slot in
                 add win_mod r fj;
                 add mod_energy r fj;
                 add mod_toggles r (float_of_int count))
@@ -177,7 +169,7 @@ let analyze ?(freq_mhz = 66.0) ?(vdd = 1.8) ?(lib = default_lib) nl act =
         let best =
           List.fold_left
             (fun best (slot, count) ->
-              if kind_of.(slot) = None then best
+              if Backend.Netlist.driver nl slot = None then best
               else
                 match best with
                 | Some (_, c) when c >= count -> best
@@ -187,7 +179,7 @@ let analyze ?(freq_mhz = 66.0) ?(vdd = 1.8) ?(lib = default_lib) nl act =
         match best with
         | None -> None
         | Some (slot, _) ->
-            let labels = Backend.Nl_sim.Sched.net_labels nl in
+            let labels = Backend.Netlist.net_labels nl in
             Some
               (Printf.sprintf "%s@%d" labels.(slot)
                  (w.w_start + w.w_cycles)))
@@ -212,15 +204,16 @@ let analyze ?(freq_mhz = 66.0) ?(vdd = 1.8) ?(lib = default_lib) nl act =
    reset-like inputs are held released so the circuit operates.  This
    gives Flow a design-agnostic way to exercise any netlist for a
    power figure that is reproducible across runs and machines. *)
+let reset_like = function "ext_reset" | "reset" | "rst" -> true | _ -> false
+
 let drive_inputs sim inputs seed c =
   List.iteri
     (fun i (name, width) ->
       let v =
-        match name with
-        | "ext_reset" | "reset" | "rst" -> Bitvec.zero width
-        | _ ->
-            let rng = Random.State.make [| seed; c; i |] in
-            Bitvec.init width (fun _ -> Random.State.bool rng)
+        if reset_like name then Bitvec.zero width
+        else
+          let rng = Random.State.make [| seed; c; i |] in
+          Bitvec.init width (fun _ -> Random.State.bool rng)
       in
       Backend.Nl_sim.set_input sim name v)
     inputs

@@ -65,6 +65,10 @@ val analyze :
   ?freq_mhz:float -> ?vdd:float -> ?lib:lib -> Backend.Netlist.t ->
   Cover.Activity.t -> report
 
+val reset_like : string -> bool
+(** The input names the seeded stimulus convention holds at 0:
+    ["ext_reset"], ["reset"] and ["rst"]. *)
+
 (** [measure nl] simulates [nl] for [cycles] (default 256) under the
     deterministic seeded stimulus convention of [osss_debug]
     (reset-like inputs held released, every other input a pure function

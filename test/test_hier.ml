@@ -92,7 +92,7 @@ let test_regions_survive_opt () =
   Alcotest.(check bool) "hints survive optimization" true
     (N.hint_table_size nl > 0);
   (* The simulator's labels pick the hierarchical descriptions up. *)
-  let labels = Backend.Nl_sim.Sched.net_labels nl in
+  let labels = Backend.Netlist.net_labels nl in
   Alcotest.(check bool) "a u_rf0-prefixed label exists" true
     (Array.exists
        (fun l -> String.length l > 6 && String.sub l 0 6 = "u_rf0.")

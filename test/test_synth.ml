@@ -4,6 +4,18 @@
 open Hdl
 module B = Synth.Behavioral
 
+(* Digest of the lowered conventional ExpoCU top, taken at module
+   initialisation: before this process has run any test, so it stands
+   for a fresh process's lowering. *)
+let lowered_digest () =
+  Backend.Lower.clear_cache ();
+  Digest.to_hex
+    (Digest.string
+       (Backend.Netlist.emit_verilog
+          (Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()))))
+
+let fresh_digest = lowered_digest ()
+
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -282,6 +294,10 @@ let test_flow_invariants_and_layout () =
   | Some v ->
       Alcotest.failf "opt invariant not proved: %a" Backend.Cec.pp_verdict v
   | None -> Alcotest.fail "invariant missing despite check_invariants");
+  Alcotest.(check (list string)) "opt lockstep ran and passed"
+    [ "random 1000 cycles ok" ]
+    (List.map (Format.asprintf "%a" Synth.Flow.pp_lockstep)
+       opt.Synth.Flow.lockstep);
   match r.Synth.Flow.layout with
   | Some l ->
       Alcotest.(check bool) "ffs placed" true (l.Synth.Flow.ffs >= 8);
@@ -290,6 +306,81 @@ let test_flow_invariants_and_layout () =
       Alcotest.(check bool) "layout in summary" true
         (contains "layout" (Synth.Flow.summary r))
   | None -> Alcotest.fail "layout report missing despite ~layout:true"
+
+let expocu_tops =
+  [
+    ("osss", fun () -> Expocu.Expocu_top.osss_top ());
+    ("conventional", fun () -> Expocu.Expocu_top.rtl_top ());
+  ]
+
+let directed_lockstep raw opt =
+  Backend.Equiv.differential ~cycles:Expocu.Expocu_top.directed_frame_cycles
+    ~drive:Expocu.Expocu_top.directed_frame ~shrink:false
+    [
+      (fun () -> Backend.Nl_engine.create ~label:"lowered" raw);
+      (fun () -> Backend.Nl_engine.create ~label:"optimised" opt);
+    ]
+
+let test_opt_directed_frame () =
+  (* The directed 256-pixel frame through the frame's processing: the
+     optimised netlist must track the lowered one on every output every
+     cycle, on both tops. *)
+  List.iter
+    (fun (label, top) ->
+      let raw = Backend.Lower.lower (top ()) in
+      match directed_lockstep raw (Backend.Opt.optimize raw) with
+      | Ok n ->
+          Alcotest.(check int) (label ^ " cycles")
+            Expocu.Expocu_top.directed_frame_cycles n
+      | Error d ->
+          Alcotest.failf "%s: optimised diverges: %a" label
+            Backend.Equiv.pp_divergence d)
+    expocu_tops
+
+let test_opt_invariant_catches_creation_order () =
+  (* Rebuilding the live cells in creation order (Netlist_oracle's
+     Opt_ref) reads hierarchical child-input nets before their drivers
+     are copied; the opt pass's lockstep invariant must fail, naming the
+     port and the cycle. *)
+  let raw = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
+  let broken = Netlist_oracle.Opt_ref.optimize raw in
+  let verdicts =
+    Synth.Flow.opt_lockstep
+      ~directed:
+        ( Expocu.Expocu_top.directed_frame_cycles,
+          Expocu.Expocu_top.directed_frame )
+      raw broken
+  in
+  Alcotest.(check (list string)) "both stimuli diverge"
+    [ "random"; "directed" ]
+    (List.filter_map
+       (fun (l : Synth.Flow.lockstep) ->
+         Option.map (fun _ -> l.stimulus) l.first_mismatch)
+       verdicts);
+  List.iter
+    (fun (l : Synth.Flow.lockstep) ->
+      let m = Option.get l.first_mismatch in
+      Alcotest.(check string) (l.stimulus ^ " port") "median_bin" m.port;
+      Alcotest.(check bool) (l.stimulus ^ " cycle named") true
+        (contains
+           (Printf.sprintf "cycle %d, port median_bin" m.at_cycle)
+           (Format.asprintf "%a" Synth.Flow.pp_lockstep l)))
+    verdicts;
+  Alcotest.(check int) "directed frame diverges where the suite saw it" 285
+    (Option.get (List.nth verdicts 1).first_mismatch).at_cycle
+
+let test_lowering_canonical () =
+  (* Var ids are process-global; the lowered netlist must not depend on
+     how many of them earlier builds drew. *)
+  List.iter
+    (fun earlier ->
+      for _ = 1 to earlier do
+        ignore (Expocu.Expocu_top.rtl_top ())
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "digest after %d earlier builds" earlier)
+        fresh_digest (lowered_digest ()))
+    [ 0; 1; 5 ]
 
 let test_whole_catalogue_synthesizes () =
   (* every registered design lowers to a checked netlist with sane
@@ -352,6 +443,11 @@ let suite =
     Alcotest.test_case "flow pass trace" `Quick test_flow_pass_trace;
     Alcotest.test_case "flow invariants and layout" `Quick
       test_flow_invariants_and_layout;
+    Alcotest.test_case "opt on the directed frame" `Quick
+      test_opt_directed_frame;
+    Alcotest.test_case "opt invariant catches a creation-order walk" `Quick
+      test_opt_invariant_catches_creation_order;
+    Alcotest.test_case "lowering is canonical" `Quick test_lowering_canonical;
     Alcotest.test_case "whole catalogue synthesizes" `Quick
       test_whole_catalogue_synthesizes;
     Alcotest.test_case "catalogue names" `Quick test_catalogue_distinct_names;
