@@ -11,6 +11,8 @@ let sweep_check (result : Synth.Flow.result) nseeds =
   let design = result.Synth.Flow.flat in
   let nl = result.Synth.Flow.netlist in
   let seeds = List.init nseeds (fun i -> i) in
+  (* Frozen once here, not by each shard's simulator. *)
+  ignore (Backend.Netlist.freeze nl);
   let outcomes =
     Backend.Equiv.differential_sweep ~cycles:300 ~seeds
       [

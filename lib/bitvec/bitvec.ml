@@ -327,29 +327,44 @@ let sub a b =
 let succ a = add a (of_int ~width:a.width 1)
 let pred a = sub a (of_int ~width:a.width 1)
 
+(* Schoolbook multiplication in base 2^16.  A digit product plus an
+   accumulator digit plus the carry stays below 2^34, well inside the
+   63-bit native int; whole 32-bit limb products overflowed it. *)
+let half_bits = 16
+let half_mask = (1 lsl half_bits) - 1
+
+let halves limbs =
+  Array.init
+    (2 * Array.length limbs)
+    (fun k -> (limbs.(k / 2) lsr (half_bits * (k land 1))) land half_mask)
+
 let mul_full a b =
   let w = a.width + b.width in
-  let n = nlimbs w in
+  let x = halves a.limbs and y = halves b.limbs in
+  let n = 2 * nlimbs w in
   let acc = Array.make n 0 in
-  let na = Array.length a.limbs and nb = Array.length b.limbs in
-  for i = 0 to na - 1 do
+  for i = 0 to Array.length x - 1 do
     let carry = ref 0 in
-    for j = 0 to nb - 1 do
+    for j = 0 to Array.length y - 1 do
       if i + j < n then begin
-        let p = (a.limbs.(i) * b.limbs.(j)) + acc.(i + j) + !carry in
-        acc.(i + j) <- p land limb_mask;
-        carry := p lsr limb_bits
+        let p = (x.(i) * y.(j)) + acc.(i + j) + !carry in
+        acc.(i + j) <- p land half_mask;
+        carry := p lsr half_bits
       end
     done;
-    let k = ref (i + nb) in
+    let k = ref (i + Array.length y) in
     while !carry <> 0 && !k < n do
       let s = acc.(!k) + !carry in
-      acc.(!k) <- s land limb_mask;
-      carry := s lsr limb_bits;
+      acc.(!k) <- s land half_mask;
+      carry := s lsr half_bits;
       incr k
     done
   done;
-  normalize { width = w; limbs = acc }
+  let limbs =
+    Array.init (nlimbs w) (fun k ->
+        acc.(2 * k) lor (acc.((2 * k) + 1) lsl half_bits))
+  in
+  normalize { width = w; limbs }
 
 let mul a b =
   check_same_width "mul" a b;

@@ -397,6 +397,10 @@ let fault_campaign ?(cycles = 500) ?(seed = 42) ?(drive = fun _ (_, r) -> r)
     ]
   @@ fun () ->
   let shards = Par.chunks ~shards:jobs faults in
+  (* Build the cached frozen view here, once: every shard's
+     [Nl_sim.create] then reads it instead of building its own on its
+     own domain and racing the others to cache it. *)
+  ignore (Netlist.freeze nl);
   let parts =
     if Array.length shards = 1 then
       (* Serial path: no pool, one shard carrying the whole fault list

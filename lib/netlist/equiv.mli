@@ -165,7 +165,13 @@ val differential_sweep :
     One shard per seed: the work-stealing pool absorbs the cost skew
     of a diverging seed (shrink + events-on replay) against the
     straight-through ones.  Raises [Invalid_argument] with fewer than
-    two factories. *)
+    two factories.
+
+    Factories run concurrently on several domains.  A factory over a
+    netlist should be given one already frozen ({!Netlist.freeze}
+    before the sweep): simulator creation builds and caches the frozen
+    view on first use, and shards doing that at once each build their
+    own copy and race on the cache. *)
 
 val ir_vs_netlist :
   ?cycles:int ->

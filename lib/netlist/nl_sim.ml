@@ -56,37 +56,43 @@ let compile order =
     order;
   prog
 
-(* Word [w] of input [k] of the instruction at [pc]. *)
-let[@inline] arg (v : int array) (prog : int array) nw pc k w =
-  Array.unsafe_get v ((Array.unsafe_get prog (pc + 2 + k) * nw) + w)
+(* Input [k] of the instruction at [pc], in the word plane starting at
+   [off] (see [values]). *)
+let[@inline] arg (v : int array) (prog : int array) off pc k =
+  Array.unsafe_get v (Array.unsafe_get prog (pc + 2 + k) + off)
 
 (* One word of one instruction, all its lanes at once; [mask] is the
    word's active-lane mask.  The one evaluator of both modes. *)
-let[@inline] eval_op v prog nw mask pc w =
+let[@inline] eval_op v prog off mask pc =
   match Array.unsafe_get prog pc with
   | 0 -> 0
   | 1 -> mask
-  | 2 -> arg v prog nw pc 0 w
-  | 3 -> lnot (arg v prog nw pc 0 w) land mask
-  | 4 -> arg v prog nw pc 0 w land arg v prog nw pc 1 w
-  | 5 -> arg v prog nw pc 0 w lor arg v prog nw pc 1 w
-  | 6 -> arg v prog nw pc 0 w lxor arg v prog nw pc 1 w
-  | 7 -> lnot (arg v prog nw pc 0 w land arg v prog nw pc 1 w) land mask
-  | 8 -> lnot (arg v prog nw pc 0 w lor arg v prog nw pc 1 w) land mask
+  | 2 -> arg v prog off pc 0
+  | 3 -> lnot (arg v prog off pc 0) land mask
+  | 4 -> arg v prog off pc 0 land arg v prog off pc 1
+  | 5 -> arg v prog off pc 0 lor arg v prog off pc 1
+  | 6 -> arg v prog off pc 0 lxor arg v prog off pc 1
+  | 7 -> lnot (arg v prog off pc 0 land arg v prog off pc 1) land mask
+  | 8 -> lnot (arg v prog off pc 0 lor arg v prog off pc 1) land mask
   | _ ->
-      let s = arg v prog nw pc 0 w in
-      arg v prog nw pc 1 w land s lor (arg v prog nw pc 2 w land lnot s)
+      let s = arg v prog off pc 0 in
+      arg v prog off pc 1 land s lor (arg v prog off pc 2 land lnot s)
 
 type t = {
   nl : Netlist.t;
   mode : mode;
   lanes : int;
   nw : int;  (* words per net *)
+  n_nets : int;
   word_mask : int array;  (* per word: active-lane bits *)
-  values : int array;  (* net [n], word [w] at [n*nw + w] *)
+  (* Word planes: word [w] of net [n] at [w*n_nets + n].  Word 0 of net
+     [n] sits at [n] itself, and an instruction reads any other plane
+     at a fixed offset, so evaluation never multiplies. *)
+  values : int array;
   prog : int array;  (* compiled [order], see [compile] *)
   order : Netlist.cell array;  (* combinational cells, topologically sorted *)
-  dffs : Netlist.cell array;
+  dff_d : int array;  (* per flip-flop, in frozen order: its D net *)
+  dff_q : int array;  (* ... and its Q net *)
   in_nets : (string, Netlist.net array) Hashtbl.t;
   out_nets : (string, Netlist.net array) Hashtbl.t;
   (* Event-driven machinery.  [level.(ci)] is the logic depth of cell
@@ -181,11 +187,13 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
     mode;
     lanes;
     nw;
+    n_nets;
     word_mask;
     values = Array.make (n_nets * nw) 0;
     prog = compile order;
     order;
-    dffs;
+    dff_d = Array.map (fun (c : Netlist.cell) -> c.ins.(0)) dffs;
+    dff_q = Array.map (fun (c : Netlist.cell) -> c.out) dffs;
     in_nets;
     out_nets;
     level;
@@ -229,11 +237,11 @@ let enable_events t =
   t.ev_on <- true;
   if not (Obs.Event.enabled ()) then Obs.Event.enable ()
 
-let emitting t = t.ev_on && Obs.Event.enabled ()
+let[@inline] emitting t = t.ev_on && Obs.Event.enabled ()
 
 (* A change event on net [n], valued with its lane-0 bit. *)
 let ev_net t n kind cause =
-  let value = t.values.(n * t.nw) land 1 in
+  let value = t.values.(n) land 1 in
   t.ev_last.(n) <-
     Obs.Event.emit ~cycle:t.n_cycles ~value ~cause kind t.ev_labels.(n)
 
@@ -247,57 +255,76 @@ let ev_cell t ci =
     c.Netlist.ins;
   ev_net t c.out Obs.Event.Net_change !best
 
-let schedule t ci =
-  if not t.pending.(ci) then begin
-    t.pending.(ci) <- true;
-    let l = t.level.(ci) in
-    let f = t.bucket_fill.(l) in
-    t.bucket.(t.bucket_start.(l) + f) <- ci;
-    t.bucket_fill.(l) <- f + 1
+let[@inline] schedule t ci =
+  if not (Array.unsafe_get t.pending ci) then begin
+    Array.unsafe_set t.pending ci true;
+    let l = Array.unsafe_get t.level ci in
+    let f = Array.unsafe_get t.bucket_fill l in
+    Array.unsafe_set t.bucket (Array.unsafe_get t.bucket_start l + f) ci;
+    Array.unsafe_set t.bucket_fill l (f + 1)
   end
 
 (* Schedule the combinational readers of net [n]. *)
 let wake t n =
-  for k = t.fanout_start.(n) to t.fanout_start.(n + 1) - 1 do
+  let fs = t.fanout_start in
+  for k = Array.unsafe_get fs n to Array.unsafe_get fs (n + 1) - 1 do
     schedule t (Array.unsafe_get t.fanout k)
   done
 
 let apply_fault t idx x = x land lnot t.f_mask.(idx) lor t.f_val.(idx)
 
+(* Per-lane coverage and activity for word [w] of net [n], moved by
+   change mask [ch] to value [now]. *)
+let record_lanes t n w ch now =
+  for b = 0 to min lane_bits (t.lanes - (w * lane_bits)) - 1 do
+    if (ch lsr b) land 1 = 1 then begin
+      let lane = (w * lane_bits) + b in
+      if Array.length t.cover > 0 then
+        Cover.Toggle.record t.cover.(lane) n ~rising:((now lsr b) land 1 = 1);
+      if Array.length t.activity > 0 then
+        Cover.Activity.record t.activity.(lane) n
+    end
+  done
+
 (* Toggle accounting for word [w] of net [n], written inside the epoch
    with change mask [ch] to value [now]: the lane-0 counter always,
    per-lane coverage and activity sampling when enabled. *)
-let account t n w ch now =
-  if w = 0 && ch land 1 <> 0 then t.toggles.(n) <- t.toggles.(n) + 1;
+let[@inline] account t n w ch now =
+  if w = 0 then
+    Array.unsafe_set t.toggles n (Array.unsafe_get t.toggles n + (ch land 1));
   if Array.length t.cover > 0 || Array.length t.activity > 0 then
-    for b = 0 to min lane_bits (t.lanes - (w * lane_bits)) - 1 do
-      if (ch lsr b) land 1 = 1 then begin
-        let lane = (w * lane_bits) + b in
-        if Array.length t.cover > 0 then
-          Cover.Toggle.record t.cover.(lane) n
-            ~rising:((now lsr b) land 1 = 1);
-        if Array.length t.activity > 0 then
-          Cover.Activity.record t.activity.(lane) n
-      end
-    done
+    record_lanes t n w ch now
 
-(* Evaluate instruction [ci], writing only moved words (accounted
-   inside the epoch); true if any lane changed. *)
+(* Write [x] as word [w] of net [n], stored at [idx] = [w*n_nets + n], with
+   any fault forces applied; true if it moved.  A move inside the epoch
+   is accounted.  Every write of a simulated value goes through here:
+   cell evaluation, the flip-flop commit and stimulus. *)
+let[@inline] write_word t n idx w x =
+  let x = if t.has_faults then apply_fault t idx x else x in
+  let old = Array.unsafe_get t.values idx in
+  old <> x
+  && begin
+       Array.unsafe_set t.values idx x;
+       if t.in_epoch then account t n w (old lxor x) x;
+       true
+     end
+
+(* Evaluate instruction [ci], writing only moved words; true if any
+   lane changed.  Word 0 is straight-line, so a single-word simulation
+   runs no word loop; wider ones loop over the words after it. *)
 let[@inline] eval_cell t ci =
-  let v = t.values and nw = t.nw and prog = t.prog in
+  let v = t.values and prog = t.prog and mask = t.word_mask in
   let pc = ci * op_slots in
   let n = Array.unsafe_get prog (pc + 1) in
-  let base = n * nw in
-  let changed = ref false in
-  for w = 0 to nw - 1 do
-    let x = eval_op v prog nw (Array.unsafe_get t.word_mask w) pc w in
-    let x = if t.has_faults then apply_fault t (base + w) x else x in
-    let old = Array.unsafe_get v (base + w) in
-    if old <> x then begin
-      Array.unsafe_set v (base + w) x;
-      if t.in_epoch then account t n w (old lxor x) x;
-      changed := true
-    end
+  let changed =
+    ref (write_word t n n 0 (eval_op v prog 0 (Array.unsafe_get mask 0) pc))
+  in
+  for w = 1 to t.nw - 1 do
+    let off = w * t.n_nets in
+    if
+      write_word t n (off + n) w
+        (eval_op v prog off (Array.unsafe_get mask w) pc)
+    then changed := true
   done;
   if !changed && t.in_epoch then t.n_touched <- t.n_touched + 1;
   !changed
@@ -321,7 +348,7 @@ let settle_full t =
    program order) or an ascending-level sweep of the scheduled cells,
    each level's slice drained newest first.  A cell's fanout lives at
    strictly higher levels, so each level's slice is complete when
-   reached. *)
+   reached and does not grow while it drains. *)
 let settle_event t =
   if t.need_full then begin
     t.need_full <- false;
@@ -341,20 +368,21 @@ let settle_event t =
   end
   else begin
     let evals = ref 0 in
-    for l = 0 to Array.length t.bucket_fill - 1 do
-      let start = t.bucket_start.(l) in
-      while t.bucket_fill.(l) > 0 do
-        let f = t.bucket_fill.(l) - 1 in
-        t.bucket_fill.(l) <- f;
-        let ci = t.bucket.(start + f) in
-        t.pending.(ci) <- false;
-        incr evals;
+    let fill = t.bucket_fill and bucket = t.bucket and pending = t.pending in
+    for l = 0 to Array.length fill - 1 do
+      let start = Array.unsafe_get t.bucket_start l in
+      let f = Array.unsafe_get fill l in
+      Array.unsafe_set fill l 0;
+      for k = start + f - 1 downto start do
+        let ci = Array.unsafe_get bucket k in
+        Array.unsafe_set pending ci false;
         if t.profiling then t.eval_counts.(ci) <- t.eval_counts.(ci) + 1;
         if eval_cell t ci then begin
           if emitting t then ev_cell t ci;
-          wake t t.prog.((ci * op_slots) + 1)
+          wake t (Array.unsafe_get t.prog ((ci * op_slots) + 1))
         end
-      done
+      done;
+      evals := !evals + f
     done;
     t.n_evals <- t.n_evals + !evals;
     Perf.incr ~by:!evals ctr_evals;
@@ -378,25 +406,13 @@ let settle t =
 (* ------------------------------------------------------------------ *)
 (* Stimulus                                                            *)
 
-(* Write one word of a net; true if it moved.  A moved word is
-   accounted inside the epoch and wakes the net's combinational readers
-   in event mode.  Callers are stimulus ([stim_word]) and the flip-flop
-   commit. *)
-let drive_word t n w x =
-  let idx = (n * t.nw) + w in
-  let x = if t.has_faults then apply_fault t idx x else x in
-  let old = t.values.(idx) in
-  old <> x
-  && begin
-       t.values.(idx) <- x;
-       if t.in_epoch then account t n w (old lxor x) x;
-       (match t.mode with Event_driven -> wake t n | Full_eval -> ());
-       true
-     end
-
+(* Drive one word of an input net from outside; a move wakes the net's
+   combinational readers in event mode. *)
 let stim_word t n w x =
-  if drive_word t n w x && emitting t then
-    ev_net t n Obs.Event.Stimulus Obs.Event.no_cause
+  if write_word t n ((w * t.n_nets) + n) w x then begin
+    if t.mode = Event_driven then wake t n;
+    if emitting t then ev_net t n Obs.Event.Stimulus Obs.Event.no_cause
+  end
 
 (* Every lane of net [n] to [b]. *)
 let drive_bit t n b =
@@ -449,7 +465,7 @@ let set_input_lane t ~lane name bv =
   let w = lane / lane_bits and bit = 1 lsl (lane mod lane_bits) in
   Array.iteri
     (fun i n ->
-      let cur = t.values.((n * t.nw) + w) in
+      let cur = t.values.((w * t.n_nets) + n) in
       let x = if Bitvec.get bv i then cur lor bit else cur land lnot bit in
       stim_word t n w x)
     nets
@@ -485,7 +501,7 @@ let set_input_packed t name cols =
 (* Observation                                                         *)
 
 let read_lane_bit t n lane =
-  t.values.((n * t.nw) + (lane / lane_bits)) lsr (lane mod lane_bits) land 1
+  t.values.((lane / lane_bits * t.n_nets) + n) lsr (lane mod lane_bits) land 1
   = 1
 
 let get_output ?(lane = 0) t name =
@@ -493,7 +509,7 @@ let get_output ?(lane = 0) t name =
   let nets = port_nets t.out_nets name in
   let w = lane / lane_bits and b = lane mod lane_bits in
   Bitvec.init (Array.length nets) (fun i ->
-      (t.values.((nets.(i) * t.nw) + w) lsr b) land 1 = 1)
+      (t.values.((w * t.n_nets) + nets.(i)) lsr b) land 1 = 1)
 
 let get_output_int ?lane t name = Bitvec.to_int (get_output ?lane t name)
 
@@ -508,11 +524,11 @@ let diverging_lanes t name =
   let diff = Array.make t.nw 0 in
   Array.iter
     (fun n ->
-      let base = n * t.nw in
-      let expect = if t.values.(base) land 1 = 1 then -1 else 0 in
+      let expect = if t.values.(n) land 1 = 1 then -1 else 0 in
       for w = 0 to t.nw - 1 do
         diff.(w) <-
-          diff.(w) lor ((t.values.(base + w) lxor expect) land t.word_mask.(w))
+          diff.(w)
+          lor ((t.values.((w * t.n_nets) + n) lxor expect) land t.word_mask.(w))
       done)
     (port_nets t.out_nets name);
   let acc = ref [] in
@@ -525,7 +541,7 @@ let diverging_lanes t name =
   done;
   !acc
 
-let net_value t n = t.values.(n * t.nw) land 1 = 1
+let net_value t n = t.values.(n) land 1 = 1
 
 (* Hinted internal nets, for hierarchical waveform probes.  Port nets
    are excluded — they are traced under their port names already. *)
@@ -544,39 +560,48 @@ let probes t =
 (* ------------------------------------------------------------------ *)
 (* Clock cycle                                                         *)
 
+(* The clock edge reads and writes flat index arrays: flip-flop [i]
+   samples [dff_d.(i)] into slot [i] of [dff_buf], then commits it to
+   [dff_q.(i)]. *)
 let sample_dffs t =
-  let nw = t.nw and v = t.values in
-  Array.iteri
-    (fun i (c : Netlist.cell) ->
-      let src = c.ins.(0) * nw and dst = i * nw in
-      for w = 0 to nw - 1 do
-        t.dff_buf.(dst + w) <- v.(src + w)
-      done)
-    t.dffs;
-  t.n_evals <- t.n_evals + Array.length t.dffs;
-  Perf.incr ~by:(Array.length t.dffs) ctr_evals
+  let nw = t.nw and v = t.values and buf = t.dff_buf and d = t.dff_d in
+  for i = 0 to Array.length d - 1 do
+    let src = Array.unsafe_get d i and dst = i * nw in
+    Array.unsafe_set buf dst (Array.unsafe_get v src);
+    for w = 1 to nw - 1 do
+      Array.unsafe_set buf (dst + w) (Array.unsafe_get v ((w * t.n_nets) + src))
+    done
+  done;
+  t.n_evals <- t.n_evals + Array.length d;
+  Perf.incr ~by:(Array.length d) ctr_evals
 
-(* Commit the sampled values.  With [emit], a moved flip-flop output is
-   caused by the change that last moved its D input, sampled before the
-   first commit, not by commits of other flip-flops this edge. *)
+(* Commit the sampled values; a moved Q net wakes its readers once.
+   With [emit], each moved word of a Q net is caused by the change that
+   last moved its D input, read before the first commit, not by
+   commits of other flip-flops this edge. *)
 let commit_dffs t ~emit =
-  let nw = t.nw in
+  let nw = t.nw and buf = t.dff_buf and q = t.dff_q in
+  let event = t.mode = Event_driven in
   let causes =
-    if emit then
-      Array.map (fun (c : Netlist.cell) -> t.ev_last.(c.ins.(0))) t.dffs
-    else [||]
+    if emit then Array.map (fun d -> t.ev_last.(d)) t.dff_d else [||]
   in
-  Array.iteri
-    (fun i (c : Netlist.cell) ->
-      let moved = ref false in
-      for w = 0 to nw - 1 do
-        if drive_word t c.out w t.dff_buf.((i * nw) + w) then begin
-          moved := true;
-          if emit then ev_net t c.out Obs.Event.Net_change causes.(i)
-        end
-      done;
-      if !moved then t.n_touched <- t.n_touched + 1)
-    t.dffs
+  for i = 0 to Array.length q - 1 do
+    let n = Array.unsafe_get q i in
+    let src = i * nw in
+    let moved = ref (write_word t n n 0 (Array.unsafe_get buf src)) in
+    if !moved && emit then ev_net t n Obs.Event.Net_change causes.(i);
+    for w = 1 to nw - 1 do
+      if write_word t n ((w * t.n_nets) + n) w (Array.unsafe_get buf (src + w))
+      then begin
+        moved := true;
+        if emit then ev_net t n Obs.Event.Net_change causes.(i)
+      end
+    done;
+    if !moved then begin
+      t.n_touched <- t.n_touched + 1;
+      if event then wake t n
+    end
+  done
 
 (* Advance every lane's activity window once per clock cycle. *)
 let end_activity_cycle t = Array.iter Cover.Activity.end_cycle t.activity
@@ -629,7 +654,7 @@ let inject_stuck_at t ~lane ~net ~value =
     t.f_val <- Array.make (Array.length t.values) 0;
     t.has_faults <- true
   end;
-  let idx = (net * t.nw) + (lane / lane_bits) in
+  let idx = (lane / lane_bits * t.n_nets) + net in
   let bit = 1 lsl (lane mod lane_bits) in
   t.f_mask.(idx) <- t.f_mask.(idx) lor bit;
   t.f_val.(idx) <-
@@ -763,7 +788,7 @@ let gate_evals t = t.n_evals
 let cells_skipped t = t.n_skipped
 let comb_cells t = Array.length t.order
 let program t = Array.copy t.prog
-let dff_cells t = Array.length t.dffs
+let dff_cells t = Array.length t.dff_q
 let full_settles t = t.n_full_settles
 let net_toggles t n = t.toggles.(n)
 let toggle_total t = Array.fold_left ( + ) 0 t.toggles

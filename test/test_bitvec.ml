@@ -118,6 +118,47 @@ let gen_bv_pair =
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
+(* The full product by bit-serial shift-and-add over bool arrays (LSB
+   first), sharing no arithmetic with Bitvec: for every set bit [i] of
+   [b], ripple-add [a] shifted by [i] into a [wa + wb]-bit accumulator. *)
+let mul_full_reference a b =
+  let wa = Bitvec.width a and wb = Bitvec.width b in
+  let acc = Array.make (wa + wb) false in
+  for i = 0 to wb - 1 do
+    if Bitvec.get b i then begin
+      let carry = ref false in
+      for k = i to wa + wb - 1 do
+        let x = k - i < wa && Bitvec.get a (k - i) in
+        let s = acc.(k) in
+        acc.(k) <- s <> x <> !carry;
+        carry := (s && x) || (!carry && (s || x))
+      done
+    end
+  done;
+  Bitvec.init (wa + wb) (fun k -> acc.(k))
+
+let gen_wide_pair =
+  QCheck2.Gen.(
+    let v =
+      int_range 1 200 >>= fun w -> list_size (return w) bool >|= Bitvec.of_bits
+    in
+    pair v v)
+
+let test_mul_wide () =
+  (* sext(i0, w) * sext(i0, w) with the 1-bit i0 = 1 is (-1) * (-1) =
+     1; the 32-bit limb products overflowed it to 64'h8000000000000001
+     and 75'h7ff8000000000000001. *)
+  List.iter
+    (fun w ->
+      let m1 = Bitvec.sign_extend (Bitvec.of_int ~width:1 1) w in
+      check_bv (Printf.sprintf "%d-bit (-1) * (-1)" w) (Bitvec.of_int ~width:w 1)
+        (Bitvec.mul m1 m1))
+    [ 63; 64; 75; 128 ];
+  let ones = Bitvec.ones 64 in
+  check_bv "(2^64-1)^2"
+    (Bitvec.of_string "0xfffffffffffffffe0000000000000001:128")
+    (Bitvec.mul_full ones ones)
+
 let props =
   [
     prop "add commutes" gen_bv_pair (fun (a, b) ->
@@ -151,6 +192,11 @@ let props =
         else
           let q = Bitvec.udiv a b and r = Bitvec.umod a b in
           Bitvec.ult r b && Bitvec.equal a (Bitvec.add (Bitvec.mul q b) r));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"mul_full matches shift-and-add (widths 1-200)" gen_wide_pair
+         (fun (a, b) ->
+           Bitvec.equal (Bitvec.mul_full a b) (mul_full_reference a b)));
     prop "mul matches int semantics" gen_bv_pair (fun (a, b) ->
         let w = Bitvec.width a in
         if w > 30 then true
@@ -240,6 +286,7 @@ let suite =
     Alcotest.test_case "slice/concat" `Quick test_slice_concat;
     Alcotest.test_case "arithmetic" `Quick test_arith;
     Alcotest.test_case "wide arithmetic" `Quick test_wide_arith;
+    Alcotest.test_case "wide multiplication" `Quick test_mul_wide;
     Alcotest.test_case "signed ops" `Quick test_signed;
     Alcotest.test_case "logic ops" `Quick test_logic_ops;
     Alcotest.test_case "width mismatch" `Quick test_width_mismatch;

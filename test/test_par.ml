@@ -235,6 +235,7 @@ let test_multi_seed_cover_identity () =
 (* Differential sweep                                                  *)
 
 let check_sweep ~cycles ~seeds make_design nl =
+  ignore (Backend.Netlist.freeze nl);
   let factories =
     [
       (fun () -> Rtl_engine.create ~label:"rtl" (make_design ()));

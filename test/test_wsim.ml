@@ -331,6 +331,323 @@ let test_lane_cover () =
         (Cover.Toggle.covered c > 0 && union >= Cover.Toggle.covered c))
     covs
 
+(* ------------------------------------------------------------------ *)
+(* The step's accounting against the oracle: every (mode, lanes) of
+   Nl_oracle.configs, lane 0 (and a faulted last lane) against oracles
+   fed the same stimulus.  Beside outputs and per-net toggles, the
+   gate-evaluation count and the nets-touched-per-step histogram are
+   checked whenever every lane carries the same simulation. *)
+
+let oracle_designs =
+  lazy
+    [
+      ("counter", Backend.Lower.lower (counter_design ()));
+      ("mini_alu", Backend.Lower.lower (alu_design ()));
+      ("expocu", Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()));
+    ]
+
+(* Cycle [c]'s broadcast stimulus, a function of (seed, c) alone so a
+   replay after a restore repeats it; 1-bit reset ports rise one cycle
+   in sixteen so the designs get to run. *)
+let stimulus ~seed nl c =
+  let rng = Random.State.make [| seed; c |] in
+  List.map
+    (fun (name, nets) ->
+      let w = Array.length nets in
+      let bv =
+        if w = 1 && (name = "reset" || name = "ext_reset") then
+          Bitvec.of_bool (Random.State.int rng 16 = 0)
+        else Bitvec.init w (fun _ -> Random.State.bool rng)
+      in
+      (name, bv))
+    (N.inputs nl)
+
+let touched_hist = Obs.Hist.histogram "nl_sim.nets_touched_per_step"
+
+(* The [(d, q)] nets of every flip-flop. *)
+let dff_nets nl =
+  List.filter_map
+    (fun (c : N.cell) ->
+      if c.kind = Backend.Cell.Dff then Some (c.ins.(0), c.out) else None)
+    (N.cells nl)
+
+(* Run [nl] on the simulator and on one oracle per checked lane.
+   [faults] maps lanes to the stuck-at faults [(net, value)] injected
+   before cycle 8; [collect] turns toggle cover and the activity
+   sampler on; [restore_at] takes a checkpoint of both sides with cycle
+   [restore_at]'s stimulus applied, runs 10 cycles, rewinds and carries
+   on. *)
+let check_against_oracle ?(faults = []) ?(collect = false) ?restore_at ~mode
+    ~lanes ~cycles ~seed (name, nl) =
+  let where =
+    Printf.sprintf "%s, %d lanes, %s mode" name lanes
+      (if mode = Ws.Event_driven then "event" else "full")
+  in
+  let uniform = faults = [] || lanes = 1 in
+  let checked = List.sort_uniq compare (0 :: List.map fst faults) in
+  let s = Ws.create ~mode ~lanes nl in
+  let oracles = List.map (fun l -> (l, Nl_oracle.create nl)) checked in
+  let o0 = List.assoc 0 oracles in
+  if collect then begin
+    Ws.enable_toggle_cover s;
+    Ws.enable_power_sampler ~window:16 s
+  end;
+  let hist_was = Obs.Hist.enabled () in
+  Obs.Hist.enable ();
+  Obs.Hist.reset touched_hist;
+  let apply c =
+    List.iter
+      (fun (port, bv) ->
+        Ws.set_input s port bv;
+        List.iter (fun (_, o) -> Nl_oracle.set_input o port bv) oracles)
+      (stimulus ~seed nl c)
+  in
+  let cycle c =
+    if c = 8 then
+      List.iter
+        (fun (lane, fs) ->
+          List.iter
+            (fun (net, value) ->
+              Ws.inject_stuck_at s ~lane ~net ~value;
+              Nl_oracle.inject_stuck_at (List.assoc lane oracles) net value)
+            fs)
+        faults;
+    Ws.step s;
+    List.iter
+      (fun (lane, o) ->
+        Nl_oracle.step o;
+        List.iter
+          (fun (port, _) ->
+            let want = Nl_oracle.get_output o port
+            and got = Ws.get_output ~lane s port in
+            if not (Bitvec.equal want got) then
+              Alcotest.failf "%s: cycle %d lane %d port %s: %a, oracle %a" where
+                c lane port Bitvec.pp got Bitvec.pp want)
+          (N.outputs nl))
+      oracles
+  in
+  let c = ref 0 in
+  while !c < cycles do
+    apply !c;
+    (match restore_at with
+    | Some r when r = !c ->
+        let ck = Ws.checkpoint s
+        and ocks = List.map (fun (l, o) -> (l, Nl_oracle.checkpoint o)) oracles in
+        for k = r to r + 9 do
+          if k > r then apply k;
+          cycle k
+        done;
+        Ws.restore s ck;
+        List.iter (fun (l, o) -> Nl_oracle.restore o (List.assoc l ocks)) oracles;
+        Alcotest.(check int) (where ^ ": rewound") r (Ws.cycles s);
+        apply r
+    | _ -> ());
+    cycle !c;
+    incr c
+  done;
+  if not hist_was then Obs.Hist.disable ();
+  for n = 0 to N.net_count nl - 1 do
+    if Ws.net_toggles s n <> o0.toggles.(n) then
+      Alcotest.failf "%s: net %d toggles %d, oracle %d" where n
+        (Ws.net_toggles s n) o0.toggles.(n)
+  done;
+  if uniform || mode = Ws.Full_eval then
+    Alcotest.(check int) (where ^ ": gate evals")
+      (Nl_oracle.gate_evals o0 mode) (Ws.gate_evals s);
+  if uniform then begin
+    let touched = Nl_oracle.touched o0 in
+    let fl = float_of_int in
+    Alcotest.(check int) (where ^ ": touched samples") (List.length touched)
+      (Obs.Hist.count touched_hist);
+    Alcotest.(check (float 0.0)) (where ^ ": touched sum")
+      (fl (List.fold_left ( + ) 0 touched))
+      (Obs.Hist.sum touched_hist);
+    Alcotest.(check (float 0.0)) (where ^ ": touched min")
+      (fl (List.fold_left min max_int touched))
+      (Obs.Hist.min_value touched_hist);
+    Alcotest.(check (float 0.0)) (where ^ ": touched max")
+      (fl (List.fold_left max 0 touched))
+      (Obs.Hist.max_value touched_hist)
+  end;
+  if collect then
+    List.iter
+      (fun lane ->
+        let cov = Option.get (Ws.lane_cover s lane)
+        and act = Option.get (Ws.lane_activity s lane) in
+        for n = 0 to N.net_count nl - 1 do
+          if
+            Cover.Toggle.rises cov n <> o0.rises.(n)
+            || Cover.Toggle.falls cov n <> o0.toggles.(n) - o0.rises.(n)
+          then
+            Alcotest.failf "%s: lane %d net %d rises/falls %d/%d, oracle %d/%d"
+              where lane n (Cover.Toggle.rises cov n) (Cover.Toggle.falls cov n)
+              o0.rises.(n)
+              (o0.toggles.(n) - o0.rises.(n))
+        done;
+        Cover.Activity.flush act;
+        let got =
+          List.map
+            (fun (w : Cover.Activity.window) ->
+              (w.w_start, w.w_cycles, w.w_counts))
+            (Cover.Activity.windows act)
+        in
+        if got <> Nl_oracle.activity_windows ~window:16 o0 then
+          Alcotest.failf "%s: lane %d activity windows differ from the oracle"
+            where lane)
+      [ 0; lanes - 1 ]
+
+let each_config f =
+  List.iter
+    (fun (mode, lanes) ->
+      List.iter (f ~mode ~lanes) (Lazy.force oracle_designs))
+    Nl_oracle.configs
+
+let test_oracle_accounting () =
+  each_config (fun ~mode ~lanes d ->
+      check_against_oracle ~cycles:60 ~seed:0x5E1 ~mode ~lanes d)
+
+(* Stuck-at faults on D and Q nets from cycle 8: one set in lane 0, a
+   disjoint one in the last lane, checked against an oracle each. *)
+let test_oracle_faults () =
+  each_config (fun ~mode ~lanes (name, nl) ->
+      let dq = Array.of_list (dff_nets nl) in
+      if Array.length dq > 0 then
+      let pick i = dq.(i mod Array.length dq) in
+      let set a b =
+        [
+          (fst (pick a), true);
+          (snd (pick b), false);
+          (snd (pick (a + b)), true);
+        ]
+      in
+      let faults =
+        (0, set 1 2) :: (if lanes > 1 then [ (lanes - 1, set 3 5) ] else [])
+      in
+      check_against_oracle ~faults ~cycles:60 ~seed:0xFA17 ~mode ~lanes
+        (name, nl))
+
+let test_oracle_collectors () =
+  each_config (fun ~mode ~lanes d ->
+      check_against_oracle ~collect:true ~cycles:60 ~seed:0xC0 ~mode ~lanes d)
+
+let test_oracle_checkpoint () =
+  each_config (fun ~mode ~lanes d ->
+      check_against_oracle ~restore_at:25 ~cycles:50 ~seed:0xCC ~mode ~lanes d)
+
+(* The compiled program is five ints per combinational cell of the
+   frozen order (opcode, output, inputs, unused slots 0); its digest on
+   both ExpoCU tops is pinned, so any change to what is compiled shows.
+   Re-record the digests only with a deliberate change to lowering or
+   to the program encoding. *)
+let program_digests =
+  [
+    ("osss", "a9a7d19772322afacd220bc9f4b08f2e");
+    ("conventional", "28e487bec6d7a40d09ff75e1f7c48725");
+  ]
+
+let test_program_pinned () =
+  let opcode : Backend.Cell.kind -> int = function
+    | Const0 -> 0
+    | Const1 -> 1
+    | Buf -> 2
+    | Not -> 3
+    | And2 -> 4
+    | Or2 -> 5
+    | Xor2 -> 6
+    | Nand2 -> 7
+    | Nor2 -> 8
+    | Mux2 -> 9
+    | Dff -> Alcotest.fail "flip-flop in the combinational order"
+  in
+  List.iter
+    (fun (top, design) ->
+      let nl = Backend.Lower.lower design in
+      let prog = Ws.program (Ws.create nl) in
+      let expect =
+        Array.concat
+          (List.map
+             (fun (c : N.cell) ->
+               Array.init 5 (fun k ->
+                   if k = 0 then opcode c.kind
+                   else if k = 1 then c.out
+                   else if k - 2 < Array.length c.ins then c.ins.(k - 2)
+                   else 0))
+             (Array.to_list (N.freeze nl).comb))
+      in
+      Alcotest.(check bool) (top ^ ": program encodes the frozen order") true
+        (prog = expect);
+      let digest =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "," (Array.to_list (Array.map string_of_int prog))))
+      in
+      Alcotest.(check string) (top ^ ": program digest")
+        (List.assoc top program_digests) digest)
+    [
+      ("osss", Expocu.Expocu_top.osss_top ());
+      ("conventional", Expocu.Expocu_top.rtl_top ());
+    ]
+
+(* The causal event log of a fixed ExpoCU run (stimulus, a stuck-at
+   fault, a checkpoint and a restore) in every configuration, pinned by
+   digest: the log's events, causes and order stay exactly as they
+   are. *)
+let event_digests =
+  [
+    ((Ws.Event_driven, 1), "9cf5ec45505a80b60c4104e4c1fa28eb");
+    ((Ws.Event_driven, 63), "c2f6a226bda4e150e5ac6d8a94f2116a");
+    ((Ws.Event_driven, 70), "9f3ca0f2ef054effc8f1c8c5a72f0695");
+    ((Ws.Full_eval, 1), "597d5327da0fcd102c2723c2e07d42f0");
+    ((Ws.Full_eval, 63), "7ed342005fe0157f018777b0a5aaf397");
+    ((Ws.Full_eval, 70), "a38d7ea313300e8444174f62bcc43801");
+  ]
+
+let test_event_log_pinned () =
+  let nl = List.assoc "expocu" (Lazy.force oracle_designs) in
+  let q = snd (List.nth (dff_nets nl) 7) in
+  List.iter
+    (fun (mode, lanes) ->
+      Obs.Event.enable ~capacity:100_000 ();
+      Obs.Event.reset ();
+      let s = Ws.create ~mode ~lanes nl in
+      Ws.enable_events s;
+      let apply c =
+        List.iter (fun (p, bv) -> Ws.set_input s p bv) (stimulus ~seed:0xE7 nl c)
+      in
+      for c = 0 to 29 do
+        apply c;
+        if c = 12 then Ws.inject_stuck_at s ~lane:(lanes - 1) ~net:q ~value:true;
+        Ws.step s
+      done;
+      let ck = Ws.checkpoint s in
+      for c = 30 to 34 do
+        apply c;
+        Ws.step s
+      done;
+      Ws.restore s ck;
+      for c = 30 to 39 do
+        apply c;
+        Ws.step s
+      done;
+      let log =
+        String.concat "\n"
+          (List.map
+             (fun (e : Obs.Event.t) ->
+               Printf.sprintf "%d %s %s %d %d %d %d %d" e.seq
+                 (Obs.Event.kind_name e.kind)
+                 e.subject e.time e.cycle e.lane e.value e.cause)
+             (Obs.Event.events ()))
+      in
+      Obs.Event.disable ();
+      Obs.Event.reset ();
+      Alcotest.(check string)
+        (Printf.sprintf "%d lanes, %s mode: event log digest (%d events)" lanes
+           (if mode = Ws.Event_driven then "event" else "full")
+           (List.length (String.split_on_char '\n' log)))
+        (List.assoc (mode, lanes) event_digests)
+        (Digest.to_hex (Digest.string log)))
+    Nl_oracle.configs
+
 (* Bitvec.transpose is an involution on rectangular arrays. *)
 let prop_transpose =
   QCheck_alcotest.to_alcotest
@@ -363,6 +680,16 @@ let suite =
     Alcotest.test_case "fault campaign" `Quick test_fault_campaign;
     Alcotest.test_case "word engine" `Quick test_word_engine;
     Alcotest.test_case "per-lane cover" `Quick test_lane_cover;
+    Alcotest.test_case "oracle: outputs, toggles, evals, touched" `Quick
+      test_oracle_accounting;
+    Alcotest.test_case "oracle: stuck-at on D and Q nets" `Quick
+      test_oracle_faults;
+    Alcotest.test_case "oracle: toggle cover and activity" `Quick
+      test_oracle_collectors;
+    Alcotest.test_case "oracle: checkpoint and restore" `Quick
+      test_oracle_checkpoint;
+    Alcotest.test_case "program pinned (expocu tops)" `Quick test_program_pinned;
+    Alcotest.test_case "event log pinned (expocu)" `Quick test_event_log_pinned;
     prop_transpose;
   ]
 
