@@ -19,7 +19,12 @@ type t = {
   window : int;
   slots : int;
   cur : int array;
-  mutable touched : int list;  (* slots with cur > 0, unordered *)
+  (* Slots with [cur > 0], unordered: [touched.(0)] to
+     [touched.(n_touched - 1)].  Each slot is pushed at most once per
+     window, so [slots] entries always suffice and [record] allocates
+     nothing. *)
+  touched : int array;
+  mutable n_touched : int;
   mutable cur_cycles : int;
   mutable closed : window list;  (* reverse order *)
   mutable n_closed : int;
@@ -37,7 +42,8 @@ let create ?(window = default_window) ~slots () =
     window;
     slots;
     cur = Array.make slots 0;
-    touched = [];
+    touched = Array.make slots 0;
+    n_touched = 0;
     cur_cycles = 0;
     closed = [];
     n_closed = 0;
@@ -51,19 +57,24 @@ let total_toggles t = t.total
 let cycles t = t.cycles
 
 let record t slot =
-  if t.cur.(slot) = 0 then t.touched <- slot :: t.touched;
-  t.cur.(slot) <- t.cur.(slot) + 1;
+  let c = t.cur.(slot) in
+  if c = 0 then begin
+    t.touched.(t.n_touched) <- slot;
+    t.n_touched <- t.n_touched + 1
+  end;
+  t.cur.(slot) <- c + 1;
   t.total <- t.total + 1
 
 let close_window t =
+  let touched = Array.sub t.touched 0 t.n_touched in
+  Array.sort Int.compare touched;
   let counts =
-    List.sort compare
-      (List.map
-         (fun s ->
-           let c = (s, t.cur.(s)) in
-           t.cur.(s) <- 0;
-           c)
-         t.touched)
+    Array.fold_right
+      (fun s acc ->
+        let c = (s, t.cur.(s)) in
+        t.cur.(s) <- 0;
+        c :: acc)
+      touched []
   in
   t.closed <-
     {
@@ -74,7 +85,7 @@ let close_window t =
     }
     :: t.closed;
   t.n_closed <- t.n_closed + 1;
-  t.touched <- [];
+  t.n_touched <- 0;
   t.cur_cycles <- 0
 
 let end_cycle t =

@@ -708,11 +708,18 @@ let emitting t = t.ev_on && Obs.Event.enabled ()
 (* Most recent change among a set of observed slots — the cause of a
    process activation they woke. *)
 let ev_cause_of t slots =
-  Array.fold_left
-    (fun acc s ->
-      let e = t.ev_last.(s) in
-      if e > acc then e else acc)
-    Obs.Event.no_cause slots
+  let best = ref Obs.Event.no_cause in
+  for k = 0 to Array.length slots - 1 do
+    let e = t.ev_last.(slots.(k)) in
+    if e > !best then best := e
+  done;
+  !best
+
+(* Every per-cycle emission goes through [ev_record], which allocates
+   nothing (see Obs.Event.record). *)
+let ev_record t ~value ~cause kind subject =
+  Obs.Event.record ~time:0 ~cycle:t.n_cycles ~lane:(-1) ~value ~cause kind
+    subject
 
 (* The event value is the low bits of the new value (wide vars
    truncate; memories report 0). *)
@@ -723,8 +730,7 @@ let ev_change t kind s cause =
     | Wide -> field t.g.wides.(s) 0 narrow_max
     | Mem | Wide_mem -> 0
   in
-  let e = Obs.Event.emit ~cycle:t.n_cycles ~value ~cause kind t.vars.(s).Ir.var_name in
-  t.ev_last.(s) <- e
+  t.ev_last.(s) <- ev_record t ~value ~cause kind t.vars.(s).Ir.var_name
 
 let find_port t name =
   match Hashtbl.find t.inputs name with
@@ -819,7 +825,7 @@ let run_comb t (cp : comb_proc) =
      observes — exactly the dirty-set propagation that scheduled it. *)
   let run_seq =
     if emitting t then
-      Obs.Event.emit ~cycle:t.n_cycles
+      ev_record t ~value:0
         ~cause:(ev_cause_of t cp.c_inputs)
         Obs.Event.Process_run cp.c_name
     else Obs.Event.no_cause
@@ -1009,12 +1015,14 @@ let step_inner t =
      every process before any commit moves [ev_last] past the edge. *)
   let emit = emitting t in
   if emit then
-    Array.iteri (fun i sp -> t.ev_sync_causes.(i) <- ev_cause_of t sp.s_snap) t.syncs;
+    for i = 0 to Array.length t.syncs - 1 do
+      t.ev_sync_causes.(i) <- ev_cause_of t t.syncs.(i).s_snap
+    done;
   for i = 0 to Array.length t.syncs - 1 do
     let sp = t.syncs.(i) in
     let run_seq =
       if emit then
-        Obs.Event.emit ~cycle:t.n_cycles ~cause:t.ev_sync_causes.(i)
+        ev_record t ~value:0 ~cause:t.ev_sync_causes.(i)
           Obs.Event.Process_run sp.s_name
       else Obs.Event.no_cause
     in
@@ -1028,8 +1036,8 @@ let step_inner t =
       close_cover_epoch t cs;
       if emitting t then
         ignore
-          (Obs.Event.emit ~cycle:t.n_cycles Obs.Event.Cover_epoch
-             t.flat.Ir.mod_name));
+          (ev_record t ~value:0 ~cause:Obs.Event.no_cause
+             Obs.Event.Cover_epoch t.flat.Ir.mod_name));
   match t.watchers with [] -> () | ws -> List.iter (fun f -> f t) ws
 
 let step t =

@@ -61,6 +61,8 @@ type t = {
   mutable regions : string array;
   mutable hints : string option array;
   mutable frozen : frozen option;  (* dropped by every mutator *)
+  mutable labels : string array option;
+      (* [net_labels], dropped by every mutator and annotation *)
 }
 
 let create ?(fold = true) ~name () =
@@ -80,6 +82,7 @@ let create ?(fold = true) ~name () =
     regions = Array.make 256 "";
     hints = Array.make 256 None;
     frozen = None;
+    labels = None;
   }
 
 let name t = t.nl_name
@@ -90,6 +93,11 @@ let grow a fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
+(* A structural change: drop both cached views. *)
+let changed t =
+  t.frozen <- None;
+  t.labels <- None
+
 let new_net t =
   let n = t.next_net in
   if n = Array.length t.drivers then begin
@@ -98,7 +106,7 @@ let new_net t =
     t.hints <- grow t.hints None
   end;
   t.next_net <- n + 1;
-  t.frozen <- None;
+  changed t;
   n
 
 let record_cell t kind ins out =
@@ -224,18 +232,18 @@ let connect_dff t ~q ~d =
   | { kind = Cell.Dff; ins; _ } when ins.(0) = -1 ->
       ins.(0) <- d;
       t.n_pending <- t.n_pending - 1;
-      t.frozen <- None
+      changed t
   | _ -> invalid_arg "Netlist.connect_dff: not a pending flip-flop"
 
 let add_input t name width =
   let nets = Array.init width (fun _ -> new_net t) in
   t.in_ports <- (name, nets) :: t.in_ports;
-  t.frozen <- None;
+  changed t;
   nets
 
 let add_output t name nets =
   t.out_ports <- (name, nets) :: t.out_ports;
-  t.frozen <- None
+  changed t
 
 let inputs t = List.rev t.in_ports
 let outputs t = List.rev t.out_ports
@@ -248,7 +256,7 @@ let substitute t f =
   List.iter
     (fun (_, nets) -> Array.iteri (fun k n -> nets.(k) <- f n) nets)
     t.out_ports;
-  t.frozen <- None
+  changed t
 
 let constant t bv =
   Array.init (Bitvec.width bv) (fun i -> const_net t (Bitvec.get bv i))
@@ -349,16 +357,23 @@ let freeze t =
 (* Hierarchy annotations. *)
 
 let region_of t n = if n >= 0 && n < t.next_net then t.regions.(n) else ""
-let set_region t n path = t.regions.(n) <- path
+let set_region t n path =
+  t.regions.(n) <- path;
+  t.labels <- None
+
 let hint_of t n = if n >= 0 && n < t.next_net then t.hints.(n) else None
 
 (* First hint wins: structural hashing can merge nets across instances,
    and the first name a net got is the one reports should keep using. *)
-let set_hint t n name = if t.hints.(n) = None then t.hints.(n) <- Some name
+let set_hint t n name =
+  if t.hints.(n) = None then begin
+    t.hints.(n) <- Some name;
+    t.labels <- None
+  end
 
 let copy_meta ~src ~dst src_net dst_net =
   if dst.regions.(dst_net) = "" then
-    dst.regions.(dst_net) <- region_of src src_net;
+    set_region dst dst_net (region_of src src_net);
   match hint_of src src_net with Some h -> set_hint dst dst_net h | None -> ()
 
 let describe_net t n =
@@ -383,7 +398,7 @@ let region_names t =
 
 (* Port bits by name ("bus[i]", or the bare name for width-1 buses),
    internal nets by their hierarchical description. *)
-let net_labels t =
+let build_labels t =
   let labels = Array.make t.next_net "" in
   let fill ports =
     List.iter
@@ -398,6 +413,14 @@ let net_labels t =
   fill (inputs t);
   fill (outputs t);
   Array.mapi (fun n l -> if l = "" then describe_net t n else l) labels
+
+let net_labels t =
+  match t.labels with
+  | Some l -> l
+  | None ->
+      let l = build_labels t in
+      t.labels <- Some l;
+      l
 
 let check t =
   if t.n_pending > 0 then

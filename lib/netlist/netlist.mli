@@ -155,7 +155,10 @@ val net_labels : t -> string array
 (** Human-readable per-net labels: port bits as ["bus[i]"] (bare name
     for width-1 ports), internal nets by their hierarchical description
     ({!describe_net}, e.g. ["u_hist.count[3]"]), remaining anonymous
-    nets as ["n<id>"]. *)
+    nets as ["n<id>"].  Cached like the frozen view: every structural
+    mutator, {!set_region}, {!set_hint} and {!copy_meta} drop the
+    cache.  The array is shared by every caller and must not be
+    mutated. *)
 
 val check : t -> unit
 (** Verifies every non-input net has exactly one driver and every

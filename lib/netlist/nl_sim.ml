@@ -145,11 +145,13 @@ type t = {
   (* Causal event log plumbing (see Obs.Event), allocated lazily by
      [enable_events]: [ev_last.(n)] is the seq of net [n]'s latest
      change event, so a cell evaluation that moves its output is caused
-     by the latest change among its input nets.  Off by default: the hot
-     paths pay one [ev_on] branch per changed net. *)
+     by the latest change among its input nets; [ev_dff_cause.(i)]
+     holds flip-flop [i]'s cause, sampled at each clock edge.  Off by
+     default: the hot paths pay one [ev_on] branch per changed net. *)
   mutable ev_on : bool;
   mutable ev_last : int array;
   mutable ev_labels : string array;
+  mutable ev_dff_cause : int array;
 }
 
 let create ?(mode = Event_driven) ?(lanes = 1) nl =
@@ -223,6 +225,7 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
     ev_on = false;
     ev_last = [||];
     ev_labels = [||];
+    ev_dff_cause = [||];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -232,27 +235,31 @@ let create ?(mode = Event_driven) ?(lanes = 1) nl =
 let enable_events t =
   if Array.length t.ev_last = 0 then begin
     t.ev_last <- Array.make (Netlist.net_count t.nl) Obs.Event.no_cause;
-    t.ev_labels <- Netlist.net_labels t.nl
+    t.ev_labels <- Netlist.net_labels t.nl;
+    t.ev_dff_cause <- Array.make (Array.length t.dff_d) Obs.Event.no_cause
   end;
   t.ev_on <- true;
   if not (Obs.Event.enabled ()) then Obs.Event.enable ()
 
 let[@inline] emitting t = t.ev_on && Obs.Event.enabled ()
 
-(* A change event on net [n], valued with its lane-0 bit. *)
+(* A change event on net [n], valued with its lane-0 bit.  Every
+   emission below allocates nothing (see Obs.Event.record). *)
 let ev_net t n kind cause =
-  let value = t.values.(n) land 1 in
   t.ev_last.(n) <-
-    Obs.Event.emit ~cycle:t.n_cycles ~value ~cause kind t.ev_labels.(n)
+    Obs.Event.record ~time:0 ~cycle:t.n_cycles ~lane:(-1)
+      ~value:(t.values.(n) land 1) ~cause kind t.ev_labels.(n)
 
 (* Cell [ci] moved its output: a change caused by the latest change
    among its inputs. *)
 let ev_cell t ci =
   let c = t.order.(ci) in
+  let ins = c.Netlist.ins in
   let best = ref Obs.Event.no_cause in
-  Array.iter
-    (fun n -> if t.ev_last.(n) > !best then best := t.ev_last.(n))
-    c.Netlist.ins;
+  for k = 0 to Array.length ins - 1 do
+    let e = t.ev_last.(ins.(k)) in
+    if e > !best then best := e
+  done;
   ev_net t c.out Obs.Event.Net_change !best
 
 let[@inline] schedule t ci =
@@ -406,19 +413,22 @@ let settle t =
 (* ------------------------------------------------------------------ *)
 (* Stimulus                                                            *)
 
-(* Drive one word of an input net from outside; a move wakes the net's
-   combinational readers in event mode. *)
-let stim_word t n w x =
-  if write_word t n ((w * t.n_nets) + n) w x then begin
-    if t.mode = Event_driven then wake t n;
-    if emitting t then ev_net t n Obs.Event.Stimulus Obs.Event.no_cause
-  end
+(* Drive word [w] of input net [n] from outside; true if it moved. *)
+let stim_word t n w x = write_word t n ((w * t.n_nets) + n) w x
+
+(* A stimulus moved input net [n] in at least one word: wake its
+   combinational readers in event mode and log one event for the net. *)
+let stimulated t n =
+  if t.mode = Event_driven then wake t n;
+  if emitting t then ev_net t n Obs.Event.Stimulus Obs.Event.no_cause
 
 (* Every lane of net [n] to [b]. *)
 let drive_bit t n b =
+  let moved = ref false in
   for w = 0 to t.nw - 1 do
-    stim_word t n w (if b then t.word_mask.(w) else 0)
-  done
+    if stim_word t n w (if b then t.word_mask.(w) else 0) then moved := true
+  done;
+  if !moved then stimulated t n
 
 let port_nets tbl name =
   match Hashtbl.find_opt tbl name with
@@ -467,7 +477,7 @@ let set_input_lane t ~lane name bv =
     (fun i n ->
       let cur = t.values.((w * t.n_nets) + n) in
       let x = if Bitvec.get bv i then cur lor bit else cur land lnot bit in
-      stim_word t n w x)
+      if stim_word t n w x then stimulated t n)
     nets
 
 (* Per-lane stimulus for a whole port at once: [cols.(i)] holds bit [i]
@@ -487,14 +497,16 @@ let set_input_packed t name cols =
           (Printf.sprintf
              "Nl_sim.set_input_packed %s: column width %d expected %d lanes"
              name (Bitvec.width col) t.lanes);
+      let moved = ref false in
       for w = 0 to t.nw - 1 do
         let lo = w * lane_bits in
         let x = ref 0 in
         for b = min t.lanes (lo + lane_bits) - 1 downto lo do
           x := (!x lsl 1) lor Bool.to_int (Bitvec.get col b)
         done;
-        stim_word t n w !x
-      done)
+        if stim_word t n w !x then moved := true
+      done;
+      if !moved then stimulated t n)
     nets
 
 (* ------------------------------------------------------------------ *)
@@ -575,31 +587,33 @@ let sample_dffs t =
   t.n_evals <- t.n_evals + Array.length d;
   Perf.incr ~by:(Array.length d) ctr_evals
 
-(* Commit the sampled values; a moved Q net wakes its readers once.
-   With [emit], each moved word of a Q net is caused by the change that
-   last moved its D input, read before the first commit, not by
-   commits of other flip-flops this edge. *)
+(* With [emit], each flip-flop's cause is the change that last moved
+   its D input, sampled before the first commit, not by commits of
+   other flip-flops this edge. *)
+let sample_dff_causes t =
+  let d = t.dff_d and causes = t.ev_dff_cause and last = t.ev_last in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set causes i (Array.unsafe_get last (Array.unsafe_get d i))
+  done
+
+(* Commit the sampled values; a moved Q net wakes its readers once and,
+   with [emit], logs one change event whatever its number of words. *)
 let commit_dffs t ~emit =
   let nw = t.nw and buf = t.dff_buf and q = t.dff_q in
   let event = t.mode = Event_driven in
-  let causes =
-    if emit then Array.map (fun d -> t.ev_last.(d)) t.dff_d else [||]
-  in
+  if emit then sample_dff_causes t;
   for i = 0 to Array.length q - 1 do
     let n = Array.unsafe_get q i in
     let src = i * nw in
     let moved = ref (write_word t n n 0 (Array.unsafe_get buf src)) in
-    if !moved && emit then ev_net t n Obs.Event.Net_change causes.(i);
     for w = 1 to nw - 1 do
       if write_word t n ((w * t.n_nets) + n) w (Array.unsafe_get buf (src + w))
-      then begin
-        moved := true;
-        if emit then ev_net t n Obs.Event.Net_change causes.(i)
-      end
+      then moved := true
     done;
     if !moved then begin
       t.n_touched <- t.n_touched + 1;
-      if event then wake t n
+      if event then wake t n;
+      if emit then ev_net t n Obs.Event.Net_change t.ev_dff_cause.(i)
     end
   done
 
@@ -623,8 +637,8 @@ let step_inner t =
   end_activity_cycle t;
   if emit && Array.length t.cover > 0 then
     ignore
-      (Obs.Event.emit ~cycle:t.n_cycles Obs.Event.Cover_epoch
-         (Netlist.name t.nl))
+      (Obs.Event.record ~time:0 ~cycle:t.n_cycles ~lane:(-1) ~value:0
+         ~cause:Obs.Event.no_cause Obs.Event.Cover_epoch (Netlist.name t.nl))
 
 let step t =
   if Obs.Span.enabled () then

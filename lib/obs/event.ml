@@ -62,23 +62,36 @@ let kind_of_name = function
   | "checkpoint" -> Some Checkpoint
   | _ -> None
 
-let dummy =
+(* The ring, one column per field: slot [seq mod cap] holds the event
+   with sequence number [seq] until [cap] newer events have evicted it,
+   so a slot's seq is never stored — [find] and [events] know it
+   already.  An emission writes seven array slots and allocates
+   nothing; records are built only when the log is read. *)
+type ring = {
+  kinds : kind array;
+  subjects : string array;
+  times : int array;
+  cycles : int array;
+  lanes : int array;
+  values : int array;
+  causes : int array;
+}
+
+let make_ring c =
   {
-    seq = -1;
-    kind = Stimulus;
-    subject = "";
-    time = 0;
-    cycle = 0;
-    lane = -1;
-    value = 0;
-    cause = no_cause;
+    kinds = Array.make c Stimulus;
+    subjects = Array.make c "";
+    times = Array.make c 0;
+    cycles = Array.make c 0;
+    lanes = Array.make c (-1);
+    values = Array.make c 0;
+    causes = Array.make c no_cause;
   }
 
 (* Single-threaded global state; [total] doubles as the next sequence
-   number, so slot [seq mod cap] always holds the event with that seq
-   until [cap] newer events have evicted it. *)
+   number.  [cap] is 0 until the first [enable]. *)
 let flag = ref false
-let buf = ref [||]
+let ring = ref (make_ring 0)
 let cap = ref 0
 let total = ref 0
 let default_capacity = 16384
@@ -99,7 +112,7 @@ let enable ?capacity () =
   (* Re-enabling at the current capacity keeps the retained events (and
      the sequence numbering), so a paused log can be resumed. *)
   if c <> !cap then begin
-    buf := Array.make c dummy;
+    ring := make_ring c;
     cap := c;
     total := 0
   end;
@@ -108,60 +121,84 @@ let enable ?capacity () =
 let disable () = flag := false
 
 let reset () =
-  if !cap > 0 then Array.fill !buf 0 !cap dummy;
+  (* Release the retained subjects; every other column is overwritten
+     before it is read again. *)
+  Array.fill !ring.subjects 0 !cap "";
   total := 0
 
-let emit ?(time = 0) ?(cycle = 0) ?(lane = -1) ?(value = 0) ?(cause = no_cause)
-    kind subject =
+let record ~time ~cycle ~lane ~value ~cause kind subject =
   if not !flag then no_cause
   else begin
-    if !cap = 0 then begin
-      buf := Array.make default_capacity dummy;
-      cap := default_capacity
-    end;
-    let seq = !total in
-    !buf.(seq mod !cap) <-
-      { seq; kind; subject; time; cycle; lane; value; cause };
+    let r = !ring and seq = !total in
+    let i = seq mod !cap in
+    Array.unsafe_set r.kinds i kind;
+    Array.unsafe_set r.subjects i subject;
+    Array.unsafe_set r.times i time;
+    Array.unsafe_set r.cycles i cycle;
+    Array.unsafe_set r.lanes i lane;
+    Array.unsafe_set r.values i value;
+    Array.unsafe_set r.causes i cause;
     total := seq + 1;
     seq
   end
 
+let emit ?(time = 0) ?(cycle = 0) ?(lane = -1) ?(value = 0) ?(cause = no_cause)
+    kind subject =
+  record ~time ~cycle ~lane ~value ~cause kind subject
+
+(* The retained event [seq], as a record. *)
+let get seq =
+  let r = !ring and i = seq mod !cap in
+  {
+    seq;
+    kind = r.kinds.(i);
+    subject = r.subjects.(i);
+    time = r.times.(i);
+    cycle = r.cycles.(i);
+    lane = r.lanes.(i);
+    value = r.values.(i);
+    cause = r.causes.(i);
+  }
+
 let find seq =
   if seq < 0 || seq >= !total || seq < !total - !cap then None
-  else Some !buf.(seq mod !cap)
+  else Some (get seq)
 
 let events () =
-  let n = count () in
-  List.init n (fun i -> !buf.((!total - n + i) mod !cap))
+  let first = !total - count () in
+  List.init (count ()) (fun k -> get (first + k))
 
-(* Newest-first scan: the natural direction for "what last touched this
-   subject" queries. *)
-let find_last p =
-  let n = count () in
-  let rec go i =
-    if i >= n then None
-    else
-      let e = !buf.((!total - 1 - i) mod !cap) in
-      if p e then Some e else go (i + 1)
+(* Newest retained seq satisfying [p], scanning newest first: the
+   natural direction for "what last touched this subject" queries. *)
+let scan_last p =
+  let oldest = !total - count () in
+  let rec go seq =
+    if seq < oldest then None else if p seq then Some seq else go (seq - 1)
   in
-  go 0
+  go (!total - 1)
+
+let find_last p = Option.map get (scan_last (fun seq -> p (get seq)))
 
 (* Latest event on [subject] — exact name, or a bit of the named bus
    ("pixel" matches "pixel[7]") — at or before [cycle] when given,
-   restricted to value-carrying kinds unless [any_kind]. *)
+   restricted to value-carrying kinds unless [any_kind].  Reads the
+   columns, so only the match becomes a record. *)
 let latest ?cycle ?(any_kind = false) ~subject () =
   let prefix = subject ^ "[" in
   let plen = String.length prefix in
-  find_last (fun e ->
-      (e.subject = subject
-      || String.length e.subject > plen
-         && String.sub e.subject 0 plen = prefix)
-      && (match cycle with None -> true | Some c -> e.cycle <= c)
-      && (any_kind
-         ||
-         match e.kind with
-         | Stimulus | Net_change | Var_change | Fault -> true
-         | _ -> false))
+  let r = !ring in
+  Option.map get
+    (scan_last (fun seq ->
+         let i = seq mod !cap in
+         let s = r.subjects.(i) in
+         (s = subject
+         || String.length s > plen && String.sub s 0 plen = prefix)
+         && (match cycle with None -> true | Some c -> r.cycles.(i) <= c)
+         && (any_kind
+            ||
+            match r.kinds.(i) with
+            | Stimulus | Net_change | Var_change | Fault -> true
+            | _ -> false)))
 
 (* ------------------------------------------------------------------ *)
 (* JSONL export: one header object stamped with the schema version,

@@ -12,6 +12,14 @@
     references are sequence numbers, so ring wraparound can only make a
     cause unresolvable ({!find} returns [None]) — never wrong.
 
+    The ring is stored as columns, one array per field, allocated by
+    {!enable}.  Recording an event writes one slot of each column and
+    allocates nothing, so a simulator's per-cycle emission path stays
+    allocation-free; the queries and the JSONL export build {!t}
+    records only when they read the log.  Hot paths call {!record},
+    which takes every field as a plain labelled argument ({!emit}'s
+    optional arguments are boxed at each call).
+
     Disabled by default with the same branch discipline as {!Span}: a
     run without the event log pays one branch per candidate emission. *)
 
@@ -60,6 +68,21 @@ val reset : unit -> unit
 (** Drop all retained events and restart sequence numbering (the
     capacity is kept). *)
 
+val record :
+  time:int ->
+  cycle:int ->
+  lane:int ->
+  value:int ->
+  cause:int ->
+  kind ->
+  string ->
+  int
+(** [record ~time ~cycle ~lane ~value ~cause kind subject] appends one
+    event and returns its sequence number (for use as a downstream
+    cause), allocating nothing.  Returns {!no_cause} without recording
+    anything while the log is disabled — but hot paths should branch
+    on {!enabled} themselves and skip the call. *)
+
 val emit :
   ?time:int ->
   ?cycle:int ->
@@ -69,10 +92,8 @@ val emit :
   kind ->
   string ->
   int
-(** [emit kind subject] appends one event and returns its sequence
-    number (for use as a downstream cause).  Returns {!no_cause}
-    without recording anything while the log is disabled — but hot
-    paths should branch on {!enabled} themselves and skip the call. *)
+(** [emit kind subject] is {!record} with defaults: time and cycle 0,
+    lane [-1], value 0, no cause. *)
 
 (** {1 Queries} *)
 

@@ -133,14 +133,18 @@ let now k = k.now
 let delta_count k = k.deltas
 let process_runs k = k.runs
 
+(* A lane-less, value-less event at the current time and delta, through
+   the allocation-free primitive (see Obs.Event.record). *)
+let ev_record k ~cause kind subject =
+  Obs.Event.record ~time:k.now ~cycle:k.deltas ~lane:(-1) ~value:0 ~cause kind
+    subject
+
 let record_wake k name =
   (match Hashtbl.find_opt k.wake_tally name with
   | Some r -> incr r
   | None -> Hashtbl.replace k.wake_tally name (ref 1));
   if Obs.Event.enabled () then
-    k.ev_cause <-
-      Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_delta
-        Obs.Event.Process_run name
+    k.ev_cause <- ev_record k ~cause:k.ev_delta Obs.Event.Process_run name
 
 let wake_counts k =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) k.wake_tally []
@@ -155,9 +159,7 @@ let subscribe_once e f = e.dynamic <- f :: e.dynamic
 let notify e =
   let k = e.kernel in
   if Obs.Event.enabled () then
-    ignore
-      (Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_cause
-         Obs.Event.Process_wake e.ev_name);
+    ignore (ev_record k ~cause:k.ev_cause Obs.Event.Process_wake e.ev_name);
   (* Static subscribers run at every notification; dynamic subscribers
      are consumed.  Subscription order is preserved for determinism. *)
   k.woken <- List.rev_append (List.rev e.dynamic) k.woken;
@@ -180,9 +182,7 @@ let run_delta k =
   if Obs.Event.enabled () then begin
     (* Chain deltas to each other: each open is caused by the previous
        one, giving [why] a spine to walk along between process events. *)
-    k.ev_delta <-
-      Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_delta
-        Obs.Event.Delta_open "delta";
+    k.ev_delta <- ev_record k ~cause:k.ev_delta Obs.Event.Delta_open "delta";
     k.ev_cause <- k.ev_delta
   end;
   while not (Queue.is_empty k.runnable) do
@@ -198,9 +198,7 @@ let run_delta k =
   k.woken <- [];
   List.iter (fun f -> Queue.push f k.runnable) woken;
   if Obs.Event.enabled () then
-    ignore
-      (Obs.Event.emit ~time:k.now ~cycle:k.deltas ~cause:k.ev_delta
-         Obs.Event.Delta_close "delta")
+    ignore (ev_record k ~cause:k.ev_delta Obs.Event.Delta_close "delta")
 
 let has_delta_work k =
   (not (Queue.is_empty k.runnable)) || k.updates <> [] || k.woken <> []

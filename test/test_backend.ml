@@ -347,6 +347,32 @@ let test_freeze_cache () =
   Alcotest.(check int) "substitute rewires the view" x
     (N.freeze nl).dffs.(0).ins.(0)
 
+(* [net_labels] is cached like the frozen view, and every mutator and
+   annotation drops it: a hint or region set after the first read shows
+   in the next one. *)
+let test_label_cache () =
+  let nl = N.create ~name:"labels" () in
+  let a = N.add_input nl "a" 2 in
+  let x = N.and2 nl a.(0) a.(1) in
+  let l1 = N.net_labels nl in
+  Alcotest.(check bool) "cached" true (l1 == N.net_labels nl);
+  Alcotest.(check string) "port bit" "a[1]" l1.(a.(1));
+  Alcotest.(check string) "anonymous" (Printf.sprintf "n%d" x) l1.(x);
+  N.set_hint nl x "both";
+  Alcotest.(check string) "hint set after the first read" "both"
+    (N.net_labels nl).(x);
+  N.set_region nl x "u_and";
+  Alcotest.(check string) "region set after the first read" "u_and.both"
+    (N.net_labels nl).(x);
+  N.add_output nl "x" [| x |];
+  Alcotest.(check string) "output port after the first read" "x"
+    (N.net_labels nl).(x);
+  let y = N.xor2 nl x a.(0) in
+  Alcotest.(check int) "new net labelled" (N.net_count nl)
+    (Array.length (N.net_labels nl));
+  Alcotest.(check string) "new net" (Printf.sprintf "n%d" y)
+    (N.net_labels nl).(y)
+
 (* Property: random expression trees lower to netlists that agree with
    the interpreter on random inputs, and simulating them agrees with the
    reference evaluator in every mode and lane count. *)
@@ -525,6 +551,7 @@ let suite =
     Alcotest.test_case "netlist loop detection" `Quick
       test_netlist_loop_detection;
     Alcotest.test_case "freeze cache" `Quick test_freeze_cache;
+    Alcotest.test_case "label cache" `Quick test_label_cache;
     Alcotest.test_case "oracle expocu netlists" `Quick test_oracle_expocu;
     prop_random_exprs;
     prop_oracle_random_exprs;

@@ -361,6 +361,35 @@ let test_activity_windows () =
   (* flushing with no pending cycles must not add an empty window *)
   Alcotest.(check int) "flush is idempotent" 2 (Cover.Activity.window_count a)
 
+(* A window lists its slots ascending whatever order they first
+   toggled in, and recording allocates nothing: every window's slots
+   fit in the sampler's own stack. *)
+let test_activity_record_order () =
+  let a = Cover.Activity.create ~window:2 ~slots:5 () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Cover.Activity.record a 4;
+    Cover.Activity.record a 1;
+    Cover.Activity.record a 3;
+    Cover.Activity.record a 1;
+    Cover.Activity.record a 0;
+    Cover.Activity.record a 2
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 8. then Alcotest.failf "record allocated %.0f words" words;
+  Cover.Activity.end_cycle a;
+  Cover.Activity.record a 3;
+  Cover.Activity.end_cycle a;
+  Cover.Activity.record a 2;
+  Cover.Activity.end_cycle a;
+  Cover.Activity.flush a;
+  Alcotest.(check (list (list (pair int int))))
+    "ascending slots, windows start empty"
+    [ [ (0, 1000); (1, 2000); (2, 1000); (3, 1001); (4, 1000) ]; [ (2, 1) ] ]
+    (List.map
+       (fun w -> w.Cover.Activity.w_counts)
+       (Cover.Activity.windows a))
+
 let test_activity_rejects_bad_geometry () =
   let raises f =
     match f () with
@@ -514,6 +543,8 @@ let suite =
     Alcotest.test_case "activity windows" `Quick test_activity_windows;
     Alcotest.test_case "activity rejects bad geometry" `Quick
       test_activity_rejects_bad_geometry;
+    Alcotest.test_case "activity record order" `Quick
+      test_activity_record_order;
     Alcotest.test_case "activity straddles epoch" `Quick
       test_activity_straddles_epoch;
     Alcotest.test_case "activity modes agree" `Quick

@@ -66,6 +66,79 @@ let test_ring_wraparound () =
   Alcotest.(check bool) "root truncated by eviction" true
     (Obs.Causal.root node).Obs.Causal.truncated
 
+(* The event a test emits as number [i]: every field varies with [i],
+   so a slot mix-up in any column shows. *)
+let kinds = [| Ev.Stimulus; Ev.Net_change; Ev.Var_change; Ev.Fault; Ev.Delta_open |]
+
+let emit_nth i =
+  Ev.emit ~time:(10 * i) ~cycle:i ~lane:(i mod 3 - 1) ~value:(i * 7)
+    ~cause:(i - 1) kinds.(i mod Array.length kinds) (Printf.sprintf "s%d" i)
+
+let check_nth i (e : Ev.t) =
+  let expect =
+    {
+      Ev.seq = i;
+      kind = kinds.(i mod Array.length kinds);
+      subject = Printf.sprintf "s%d" i;
+      time = 10 * i;
+      cycle = i;
+      lane = i mod 3 - 1;
+      value = i * 7;
+      cause = i - 1;
+    }
+  in
+  Alcotest.(check bool) (Printf.sprintf "event %d fields" i) true (e = expect)
+
+(* Every column of the ring keeps the fields emitted, through
+   wraparound, and the queries list them oldest first. *)
+let test_ring_columns () =
+  Ev.enable ~capacity:5 ();
+  for i = 0 to 12 do
+    Alcotest.(check int) "emit returns the seq" i (emit_nth i)
+  done;
+  for i = 8 to 12 do
+    match Ev.find i with
+    | Some e -> check_nth i e
+    | None -> Alcotest.failf "retained event %d not found" i
+  done;
+  Alcotest.(check bool) "evicted event gone" true (Ev.find 7 = None);
+  Alcotest.(check bool) "future event absent" true (Ev.find 13 = None);
+  List.iteri (fun k e -> check_nth (8 + k) e) (Ev.events ());
+  Alcotest.(check (option int)) "find_last, newest first" (Some 11)
+    (Option.map
+       (fun (e : Ev.t) -> e.Ev.seq)
+       (Ev.find_last (fun e -> e.Ev.value mod 2 = 1)))
+
+(* [reset] restarts the numbering at the same capacity; [enable] at the
+   current capacity resumes the log, at another one drops it. *)
+let test_ring_reset_and_enable () =
+  Ev.enable ~capacity:4 ();
+  for i = 0 to 5 do
+    ignore (emit_nth i)
+  done;
+  Ev.reset ();
+  Alcotest.(check int) "reset keeps the capacity" 4 (Ev.capacity ());
+  Alcotest.(check int) "reset empties the ring" 0 (Ev.count ());
+  Alcotest.(check int) "reset clears dropped" 0 (Ev.dropped ());
+  Alcotest.(check int) "reset restarts seq" 0 (emit_nth 0);
+  ignore (emit_nth 1);
+  Ev.disable ();
+  Alcotest.(check int) "disabled emit records nothing" Ev.no_cause (emit_nth 2);
+  Ev.enable ();
+  Alcotest.(check int) "re-enable keeps the capacity" 4 (Ev.capacity ());
+  Alcotest.(check int) "re-enable resumes the log" 2 (Ev.count ());
+  Alcotest.(check int) "re-enable resumes the numbering" 2 (emit_nth 2);
+  List.iteri check_nth (Ev.events ());
+  Ev.enable ~capacity:4 ();
+  Alcotest.(check int) "same capacity keeps the log" 3 (Ev.count ());
+  Ev.enable ~capacity:8 ();
+  Alcotest.(check int) "new capacity" 8 (Ev.capacity ());
+  Alcotest.(check int) "new capacity drops the log" 0 (Ev.count ());
+  Alcotest.(check int) "new capacity restarts seq" 0 (emit_nth 0);
+  Alcotest.check_raises "capacity 0 rejected"
+    (Invalid_argument "Obs.Event.enable: capacity must be >= 1") (fun () ->
+      Ev.enable ~capacity:0 ())
+
 (* ------------------------------------------------------------------ *)
 (* JSONL codec                                                         *)
 
@@ -82,6 +155,18 @@ let test_jsonl_roundtrip () =
       | Error msg -> Alcotest.failf "of_json: %s" msg)
     (Ev.events ());
   let s = Ev.to_jsonl () in
+  Alcotest.(check string) "jsonl text"
+    ({|{"schema":"osss.event-log/v1","events":4,"dropped":0,"capacity":16}|}
+    ^ "\n"
+    ^ {|{"seq":0,"kind":"stimulus","subject":"x[0]","time":0,"cycle":0,"value":1}|}
+    ^ "\n"
+    ^ {|{"seq":1,"kind":"net-change","subject":"u_m.q[2]","time":0,"cycle":0,"value":0,"cause":0}|}
+    ^ "\n"
+    ^ {|{"seq":2,"kind":"fault","subject":"y","time":0,"cycle":1,"value":1,"lane":3,"cause":1}|}
+    ^ "\n"
+    ^ {|{"seq":3,"kind":"delta-open","subject":"delta","time":20,"cycle":2,"value":0}|}
+    ^ "\n")
+    s;
   (match Ev.validate_jsonl s with
   | Ok n -> Alcotest.(check int) "validates all events" (Ev.count ()) n
   | Error msg -> Alcotest.failf "validate_jsonl: %s" msg);
@@ -275,6 +360,94 @@ let test_divergence_causality () =
     (not (Ev.enabled ()))
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* Words [f] allocates on the minor heap ([Gc.minor_words] is exact)
+   and on the major heap, directly or by promotion.  Direct major
+   allocations reach [Gc.quick_stat] only at later minor collections;
+   two on either side of [f] settle the count. *)
+let allocation f =
+  let settle () =
+    Gc.minor ();
+    Gc.minor ()
+  in
+  settle ();
+  let minor0 = Gc.minor_words () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  f ();
+  let minor1 = Gc.minor_words () in
+  settle ();
+  let major1 = (Gc.quick_stat ()).Gc.major_words in
+  (minor1 -. minor0, major1 -. major0)
+
+(* One ExpoCU frame: power-on reset, a frame_sync lead-in, 1024 directed
+   pixels and a tail, as 1543 calls of [set] and [step]. *)
+let expocu_frame ~set ~step =
+  List.iter (fun p -> set p 0) [ "ext_reset"; "sda_in"; "line_valid"; "pixel" ];
+  set "target_bin" 7;
+  set "frame_sync" 0;
+  allocation (fun () ->
+      for c = 0 to 1542 do
+        if c = 15 then set "frame_sync" 1;
+        if c = 19 then set "line_valid" 1;
+        if c >= 19 && c < 1043 then set "pixel" ((c - 19) * 53 mod 256);
+        if c = 1043 then set "line_valid" 0;
+        step ()
+      done)
+
+(* The log's per-cycle path allocates nothing: an events-on frame costs
+   at most a few words more than the same frame with events off, and
+   not one major-heap word more. *)
+let check_events_allocate_nothing name frame =
+  let off_minor, off_major = frame ~events:false in
+  Ev.enable ();
+  let on_minor, on_major = frame ~events:true in
+  Alcotest.(check bool) (name ^ ": events were logged") true (Ev.count () > 0);
+  if on_minor > off_minor +. 64. || on_major > off_major then
+    Alcotest.failf
+      "%s: events-on frame allocated %.0f minor and %.0f major words, \
+       events-off %.0f and %.0f"
+      name on_minor on_major off_minor off_major
+
+(* Toggle coverage is on in both runs of the simulators, so the
+   coverage-epoch events are exercised too. *)
+let test_alloc_netlist () =
+  let nl = Backend.Lower.lower (Expocu.Expocu_top.rtl_top ()) in
+  check_events_allocate_nothing "gate level" (fun ~events ->
+      let module S = Backend.Nl_sim in
+      let s = S.create nl in
+      S.enable_toggle_cover s;
+      if events then S.enable_events s;
+      let ports = Hashtbl.create 8 in
+      List.iter
+        (fun (name, _) -> Hashtbl.replace ports name (S.in_port s name))
+        (Backend.Netlist.inputs nl);
+      expocu_frame
+        ~set:(fun name v -> S.drive_port_int s (Hashtbl.find ports name) v)
+        ~step:(fun () -> S.step s))
+
+let test_alloc_rtl () =
+  let design = Expocu.Expocu_top.rtl_top () in
+  check_events_allocate_nothing "rtl" (fun ~events ->
+      let s = Rtl_sim.create design in
+      Rtl_sim.enable_toggle_cover s;
+      if events then Rtl_sim.enable_events s;
+      expocu_frame ~set:(Rtl_sim.set_input_int s) ~step:(fun () -> Rtl_sim.step s))
+
+(* The kernel's delta spine: 500 clock cycles of a clocked thread. *)
+let test_alloc_kernel () =
+  check_events_allocate_nothing "kernel" (fun ~events:_ ->
+      let k = Sim.Kernel.create () in
+      let clk = Sim.Clock.create k ~period_ps:10 () in
+      let rec loop ctx =
+        Sim.Process.wait ctx;
+        loop ctx
+      in
+      ignore (Sim.Process.cthread k ~name:"idle" ~clock:clk loop);
+      Sim.Kernel.run_until k 100;
+      allocation (fun () -> Sim.Kernel.run_until k 5_100))
+
+(* ------------------------------------------------------------------ *)
 (* Collapsed stacks                                                    *)
 
 let test_collapsed_stacks () =
@@ -307,6 +480,9 @@ let () =
         [
           Alcotest.test_case "ring wraparound" `Quick
             (pristine test_ring_wraparound);
+          Alcotest.test_case "ring columns" `Quick (pristine test_ring_columns);
+          Alcotest.test_case "ring reset and enable" `Quick
+            (pristine test_ring_reset_and_enable);
           Alcotest.test_case "jsonl round-trip" `Quick
             (pristine test_jsonl_roundtrip);
           Alcotest.test_case "checkpoint rtl" `Quick
@@ -325,6 +501,12 @@ let () =
             (pristine test_why_reaches_stimulus);
           Alcotest.test_case "divergence causality" `Quick
             (pristine test_divergence_causality);
+          Alcotest.test_case "events allocate nothing (gate level)" `Quick
+            (pristine test_alloc_netlist);
+          Alcotest.test_case "events allocate nothing (rtl)" `Quick
+            (pristine test_alloc_rtl);
+          Alcotest.test_case "events allocate nothing (kernel)" `Quick
+            (pristine test_alloc_kernel);
           Alcotest.test_case "collapsed stacks" `Quick
             (pristine test_collapsed_stacks);
         ] );

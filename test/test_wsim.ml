@@ -591,62 +591,100 @@ let test_program_pinned () =
 (* The causal event log of a fixed ExpoCU run (stimulus, a stuck-at
    fault, a checkpoint and a restore) in every configuration, pinned by
    digest: the log's events, causes and order stay exactly as they
-   are. *)
+   are.  A net logs one event per write whatever its number of words,
+   so the 70-lane (two-word) logs hold as many events as the 63-lane
+   ones. *)
 let event_digests =
   [
     ((Ws.Event_driven, 1), "9cf5ec45505a80b60c4104e4c1fa28eb");
     ((Ws.Event_driven, 63), "c2f6a226bda4e150e5ac6d8a94f2116a");
-    ((Ws.Event_driven, 70), "9f3ca0f2ef054effc8f1c8c5a72f0695");
+    ((Ws.Event_driven, 70), "40704a15bce6880712b971b7a332bb70");
     ((Ws.Full_eval, 1), "597d5327da0fcd102c2723c2e07d42f0");
     ((Ws.Full_eval, 63), "7ed342005fe0157f018777b0a5aaf397");
-    ((Ws.Full_eval, 70), "a38d7ea313300e8444174f62bcc43801");
+    ((Ws.Full_eval, 70), "f89609e1d4737b0a19fa3eb68226fd8f");
   ]
+
+(* The event log of the fixed run, one line per event; with [fault], a
+   stuck-at on the eighth flip-flop's Q net in the last lane at cycle
+   12. *)
+let event_log ~fault ~mode ~lanes nl =
+  let q = snd (List.nth (dff_nets nl) 7) in
+  Obs.Event.enable ~capacity:100_000 ();
+  Obs.Event.reset ();
+  let s = Ws.create ~mode ~lanes nl in
+  Ws.enable_events s;
+  let apply c =
+    List.iter (fun (p, bv) -> Ws.set_input s p bv) (stimulus ~seed:0xE7 nl c)
+  in
+  for c = 0 to 29 do
+    apply c;
+    if fault && c = 12 then
+      Ws.inject_stuck_at s ~lane:(lanes - 1) ~net:q ~value:true;
+    Ws.step s
+  done;
+  let ck = Ws.checkpoint s in
+  for c = 30 to 34 do
+    apply c;
+    Ws.step s
+  done;
+  Ws.restore s ck;
+  for c = 30 to 39 do
+    apply c;
+    Ws.step s
+  done;
+  let log =
+    String.concat "\n"
+      (List.map
+         (fun (e : Obs.Event.t) ->
+           Printf.sprintf "%d %s %s %d %d %d %d %d" e.seq
+             (Obs.Event.kind_name e.kind)
+             e.subject e.time e.cycle e.lane e.value e.cause)
+         (Obs.Event.events ()))
+  in
+  Obs.Event.disable ();
+  Obs.Event.reset ();
+  log
+
+let mode_name mode = if mode = Ws.Event_driven then "event" else "full"
 
 let test_event_log_pinned () =
   let nl = List.assoc "expocu" (Lazy.force oracle_designs) in
-  let q = snd (List.nth (dff_nets nl) 7) in
   List.iter
     (fun (mode, lanes) ->
-      Obs.Event.enable ~capacity:100_000 ();
-      Obs.Event.reset ();
-      let s = Ws.create ~mode ~lanes nl in
-      Ws.enable_events s;
-      let apply c =
-        List.iter (fun (p, bv) -> Ws.set_input s p bv) (stimulus ~seed:0xE7 nl c)
-      in
-      for c = 0 to 29 do
-        apply c;
-        if c = 12 then Ws.inject_stuck_at s ~lane:(lanes - 1) ~net:q ~value:true;
-        Ws.step s
-      done;
-      let ck = Ws.checkpoint s in
-      for c = 30 to 34 do
-        apply c;
-        Ws.step s
-      done;
-      Ws.restore s ck;
-      for c = 30 to 39 do
-        apply c;
-        Ws.step s
-      done;
-      let log =
-        String.concat "\n"
-          (List.map
-             (fun (e : Obs.Event.t) ->
-               Printf.sprintf "%d %s %s %d %d %d %d %d" e.seq
-                 (Obs.Event.kind_name e.kind)
-                 e.subject e.time e.cycle e.lane e.value e.cause)
-             (Obs.Event.events ()))
-      in
-      Obs.Event.disable ();
-      Obs.Event.reset ();
+      let log = event_log ~fault:true ~mode ~lanes nl in
       Alcotest.(check string)
         (Printf.sprintf "%d lanes, %s mode: event log digest (%d events)" lanes
-           (if mode = Ws.Event_driven then "event" else "full")
+           (mode_name mode)
            (List.length (String.split_on_char '\n' log)))
         (List.assoc (mode, lanes) event_digests)
         (Digest.to_hex (Digest.string log)))
     Nl_oracle.configs
+
+(* With the same stimulus on every lane, every lane follows lane 0, so
+   the log cannot depend on the lane count: the 63- and 70-lane logs
+   equal the 1-lane log event for event. *)
+let test_event_log_broadcast () =
+  let nl = List.assoc "expocu" (Lazy.force oracle_designs) in
+  List.iter
+    (fun mode ->
+      let lines lanes =
+        String.split_on_char '\n' (event_log ~fault:false ~mode ~lanes nl)
+      in
+      let one = lines 1 in
+      List.iter
+        (fun lanes ->
+          let many = lines lanes in
+          Alcotest.(check int)
+            (Printf.sprintf "%s mode, %d lanes: event count" (mode_name mode)
+               lanes)
+            (List.length one) (List.length many);
+          List.iter2
+            (Alcotest.(check string)
+               (Printf.sprintf "%s mode, %d lanes: event" (mode_name mode)
+                  lanes))
+            one many)
+        [ 63; 70 ])
+    [ Ws.Event_driven; Ws.Full_eval ]
 
 (* Bitvec.transpose is an involution on rectangular arrays. *)
 let prop_transpose =
@@ -690,6 +728,8 @@ let suite =
       test_oracle_checkpoint;
     Alcotest.test_case "program pinned (expocu tops)" `Quick test_program_pinned;
     Alcotest.test_case "event log pinned (expocu)" `Quick test_event_log_pinned;
+    Alcotest.test_case "event log lane-count independent (broadcast)" `Quick
+      test_event_log_broadcast;
     prop_transpose;
   ]
 
